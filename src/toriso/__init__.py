@@ -4,19 +4,27 @@ Lattices with exact rational bases, quadratic-form spectra, certified
 isospectrality and non-isometry checks, orthogonal decomposition, and the
 mod-q code lift used to search for isospectral families.
 
-Everything user-facing is re-exported here; ``toriso.triplet`` holds the
-bundled six-dimensional triplet and ``toriso.formats`` the text and JSON
-serializers used by the command line interface.
+``__all__`` is the public surface: everything user-facing is
+re-exported here, and nothing is exported that only tests need.
+``toriso.triplet`` holds the bundled six-dimensional triplet and
+``toriso.formats`` the text and JSON serializers used by the command
+line interface.
+
+Each exact-arithmetic concept has one implementation, with two
+deliberate exceptions.  The scalar monomial orbit behind
+canonical_monomial_form stays next to the numpy orbit of the scan,
+because verify_tuple uses it as the independent re-check of the scan's
+verdict.  The prime-modulus branch of the canonical code rows stays next
+to the Hermite-form branch, because the modulus selects it and it is
+several times faster on the orbits verify_tuple walks.
 """
 
 from .codes import (
     CodeError,
     LinearCode,
     canonical_monomial_form,
-    enumerate_codes,
     equal_weight_distribution,
     lift,
-    monomial_images,
     project,
     weight_distribution,
     weight_signature,
@@ -25,10 +33,8 @@ from .decomposition import (
     Component,
     Decomposition,
     DecompositionError,
-    component_determinants,
     decompose,
     decompose_form,
-    is_decomposable_vector,
     is_irreducible,
 )
 from .enumeration import (
@@ -44,18 +50,15 @@ from .isometry import (
     EquivalenceWitness,
     SearchBudgetExceeded,
     SearchStats,
-    congruent_lattices,
     integral_equivalence,
     norm_caps,
 )
 from .lattices import (
-    FormClassTags,
     GramForm,
     Lattice,
     LatticeError,
     MembershipError,
     choir_family,
-    classify,
     direct_sum,
     double_form,
     dual,
@@ -73,13 +76,11 @@ from .linalg import (
     Mat,
     NotPositiveDefiniteError,
     RankError,
-    Rat,
     ShapeError,
     char_poly,
     det,
     eigenvalue_lower_bound,
     hnf,
-    is_positive_definite,
     lattices_equal,
     ldl,
     lll_reduce,
@@ -88,7 +89,6 @@ from .search import (
     CollisionTuple,
     SearchReport,
     TupleVerificationError,
-    collide_codes,
     run_search,
     verify_tuple,
 )
@@ -104,7 +104,6 @@ __all__ = [
     "DecompositionError",
     "DimensionError",
     "EquivalenceWitness",
-    "FormClassTags",
     "FormatError",
     "GramForm",
     "IsoCertificate",
@@ -117,7 +116,6 @@ __all__ = [
     "MembershipError",
     "NotPositiveDefiniteError",
     "RankError",
-    "Rat",
     "RepSpectrum",
     "SearchBudgetExceeded",
     "SearchReport",
@@ -130,10 +128,6 @@ __all__ = [
     "certify",
     "char_poly",
     "choir_family",
-    "classify",
-    "collide_codes",
-    "component_determinants",
-    "congruent_lattices",
     "decompose",
     "decompose_form",
     "det",
@@ -141,7 +135,6 @@ __all__ = [
     "double_form",
     "dual",
     "eigenvalue_lower_bound",
-    "enumerate_codes",
     "enumerate_up_to",
     "equal_weight_distribution",
     "form_direct_sum",
@@ -150,17 +143,14 @@ __all__ = [
     "hnf",
     "independent_ladder",
     "integral_equivalence",
-    "is_decomposable_vector",
     "is_even",
     "is_irreducible",
-    "is_positive_definite",
     "laplace_spectrum_prefix",
     "lattices_equal",
     "ldl",
     "level",
     "lift",
     "lll_reduce",
-    "monomial_images",
     "mu0",
     "norm_caps",
     "project",

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import enumerate_up_to
-from .lattices import GramForm, Lattice, gram
-from .linalg import DimensionError, Mat, det, hnf, lattices_equal, lll_reduce
+from .enumeration import _to_ambient, enumerate_up_to
+from .lattices import GramForm, Lattice
+from .linalg import DimensionError, Mat, hnf, lattices_equal, lll_reduce
 
 
 class DecompositionError(RuntimeError):
@@ -55,20 +55,6 @@ class Decomposition:
 
 def _dot(u, qv) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(u, qv)), Fraction(0))
-
-
-def is_decomposable_vector(q: GramForm, v) -> bool:
-    """Exact decomposability test for one nonzero coordinate vector."""
-    norm = q.value(v)
-    if norm == 0:
-        raise ValueError("zero vector has no decomposition")
-    qv = q.matrix.apply(v)
-    for x, xnorm in enumerate_up_to(q, norm):
-        if xnorm == norm:
-            continue
-        if abs(_dot(x, qv)) >= xnorm:
-            return True
-    return False
 
 
 def decompose_form(q: GramForm) -> Decomposition:
@@ -136,19 +122,9 @@ def decompose(l: Lattice) -> Decomposition:
         raise DimensionError("cannot decompose an empty lattice")
     reduced = lll_reduce(l.basis)
     res = decompose_form(GramForm(reduced.transpose() @ reduced))
-
-    def to_ambient(v):
-        amb = reduced.apply(v)
-        for x in amb:
-            if x != 0:
-                if x < 0:
-                    amb = tuple(-y for y in amb)
-                break
-        return tuple(int(x) if x.denominator == 1 else x for x in amb)
-
     components = tuple(
         Component(
-            vectors=tuple(sorted(to_ambient(v) for v in c.vectors)),
+            vectors=tuple(sorted(_to_ambient(reduced, v) for v in c.vectors)),
             rank=c.rank,
             basis=reduced @ c.basis,
         )
@@ -161,12 +137,3 @@ def is_irreducible(l: Lattice) -> bool:
     """Whether the lattice admits no nontrivial orthogonal splitting."""
     return decompose(l).is_irreducible
 
-
-def component_determinants(q: GramForm, d: Decomposition) -> tuple[Fraction | int, ...]:
-    """det of q restricted to each component; their product is det q."""
-    out = []
-    for c in d.components:
-        sub = c.basis.transpose() @ q.matrix @ c.basis
-        val = det(sub)
-        out.append(int(val) if val.denominator == 1 else val)
-    return tuple(out)

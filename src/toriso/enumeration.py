@@ -26,12 +26,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
-from .linalg import DimensionError, Mat, fraction_free_upper
-from .lattices import GramForm, Lattice, LatticeError, gram
-
-
-def _normalize(x: Fraction):
-    return int(x) if x.denominator == 1 else x
+from .linalg import DimensionError, Mat, _integer_rows, _normalize, fraction_free_upper
+from .lattices import GramForm, Lattice, LatticeError
 
 
 def _canonical_sign(coords: Sequence) -> tuple:
@@ -87,19 +83,9 @@ class RepSpectrum:
         return sum(c for _, c in self.entries)
 
 
-def _integer_form(q: GramForm) -> tuple[list[list[int]], int]:
-    """Clear denominators: returns (G, s) with G = s * q integral."""
-    m = q.matrix
-    s = 1
-    for x in m.entries:
-        s = s * x.denominator // gcd(s, x.denominator)
-    rows = [[int(x * s) for x in m.row(i)] for i in range(m.rows)]
-    return rows, s
-
-
 def _elimination_data(g_rows: list[list[int]]):
     n = len(g_rows)
-    urows, d = fraction_free_upper(Mat.from_rows(g_rows))
+    urows, d = fraction_free_upper(g_rows)
     p = 1
     for i in range(n):
         p *= d[i] * d[i + 1]
@@ -118,7 +104,7 @@ def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None]) 
         raise DimensionError("cannot enumerate an empty form")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    g_rows, s = _integer_form(q)
+    g_rows, s = _integer_rows(q.matrix)
     n = len(g_rows)
     grid = 0
     for i in range(n):
@@ -134,7 +120,8 @@ def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None]) 
         if i < 0:
             if not leading:
                 scaled, r = divmod(total - rem, p)
-                assert r == 0
+                if r:
+                    raise ArithmeticError("scaled norm is not a multiple of the elimination product")
                 emit(scaled, coords)
             return
         wi = w[i]
@@ -251,12 +238,15 @@ def _ambient_candidates(l: Lattice, bound_floor: int | None = None):
     if bound_floor is not None and bound < bound_floor:
         bound = Fraction(bound_floor)
     coords = enumerate_up_to(q, bound)
-    out = []
-    for c, norm in coords:
-        amb = _canonical_sign(reduced.apply(c))
-        out.append((tuple(_normalize(x) for x in amb), norm))
+    out = [(_to_ambient(reduced, c), norm) for c, norm in coords]
     out.sort(key=lambda item: (item[1], _lead_index(item[0]), item[0]))
     return out
+
+
+def _to_ambient(basis: Mat, coords: Sequence) -> tuple:
+    """The lattice vector with these coordinates, first nonzero entry
+    positive, integral entries as int."""
+    return tuple(_normalize(x) for x in _canonical_sign(basis.apply(coords)))
 
 
 def _lead_index(v: Sequence) -> int:

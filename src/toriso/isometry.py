@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import enumerate_up_to
-from .lattices import GramForm, gram
-from .linalg import DimensionError, Mat, det, eigenvalue_lower_bound
+from .lattices import GramForm
+from .linalg import DimensionError, Mat, _normalize, det, eigenvalue_lower_bound
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -53,10 +53,6 @@ class EquivalenceWitness:
         return self.matrix is not None
 
 
-def _normalize(x: Fraction):
-    return int(x) if x.denominator == 1 else x
-
-
 def norm_caps(q1: GramForm, q2: GramForm, lambda_bound) -> tuple[Fraction | int, ...]:
     """Per-column caps |x|^2 <= (q2)_jj / lambda_bound certifying that each
     candidate shell is finite."""
@@ -67,8 +63,10 @@ def norm_caps(q1: GramForm, q2: GramForm, lambda_bound) -> tuple[Fraction | int,
 
 
 def _verify(q1: GramForm, q2: GramForm, b: Mat) -> None:
-    assert b.transpose() @ q1.matrix @ b == q2.matrix
-    assert abs(det(b)) == 1
+    if b.transpose() @ q1.matrix @ b != q2.matrix:
+        raise ArithmeticError("witness does not carry q1 to q2")
+    if abs(det(b)) != 1:
+        raise ArithmeticError("witness is not unimodular")
 
 
 def integral_equivalence(
@@ -175,8 +173,3 @@ def integral_equivalence(
     notes = () if all(buckets[j] for j in range(n)) else ("some required value is not represented",)
     return EquivalenceWitness(None, stats_now(notes))
 
-
-def congruent_lattices(a, b, **kwargs) -> EquivalenceWitness:
-    """Equivalence of two lattices via their Gram forms; a witness is a
-    unimodular change of basis realizing the congruence."""
-    return integral_equivalence(gram(a), gram(b), **kwargs)

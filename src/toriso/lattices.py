@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .linalg import (
@@ -19,8 +18,9 @@ from .linalg import (
     Mat,
     RankError,
     ShapeError,
+    _denominator_scale,
+    _positive_definite_data,
     det,
-    ldl,
 )
 
 
@@ -73,8 +73,7 @@ class GramForm:
     def __post_init__(self):
         if not self.matrix.is_symmetric():
             raise ShapeError("Gram matrix must be symmetric")
-        if self.matrix.rows > 0:
-            ldl(self.matrix)  # raises NotPositiveDefiniteError otherwise
+        _positive_definite_data(self.matrix)  # raises NotPositiveDefiniteError otherwise
 
     @property
     def dimension(self) -> int:
@@ -84,13 +83,6 @@ class GramForm:
         """The quadratic form x^T q x."""
         qx = self.matrix.apply(x)
         return sum((Fraction(a) * b for a, b in zip(x, qx)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class FormClassTags:
-    det: Fraction
-    is_even: bool
-    level: int | None
 
 
 def gram(l: Lattice) -> GramForm:
@@ -126,19 +118,10 @@ def level(q: GramForm) -> int:
     if q.dimension == 0:
         return 1
     inv = q.matrix.inverse()
-    d = 1
-    for x in inv.entries:
-        d = d * x.denominator // gcd(d, x.denominator)
-    diag_scaled = [d * inv.at(i, i) for i in range(inv.rows)]
-    assert all(x.denominator == 1 for x in diag_scaled)
-    if all(int(x) % 2 == 0 for x in diag_scaled):
+    d = _denominator_scale(inv.entries)
+    if all(d * inv.at(i, i) % 2 == 0 for i in range(inv.rows)):
         return d
     return 2 * d
-
-
-def classify(q: GramForm) -> FormClassTags:
-    ev = is_even(q)
-    return FormClassTags(det=det(q.matrix), is_even=ev, level=level(q) if q.matrix.is_integral() else None)
 
 
 def form_direct_sum(a: GramForm, b: GramForm) -> GramForm:
@@ -218,11 +201,12 @@ def laplace_spectrum_prefix(l: Lattice, count: int) -> tuple[tuple[Fraction, int
         raise LatticeError("empty lattice has no spectrum")
     from .linalg import lll_reduce
 
-    dq = gram(dual(l))
+    dl = dual(l)
+    dq = gram(dl)
     out: list[tuple[Fraction, int]] = [(Fraction(0), 1)]
     if count == 1:
         return tuple(out)
-    reduced = lll_reduce(dual(l).basis)
+    reduced = lll_reduce(dl.basis)
     bound = min(
         sum((x * x for x in reduced.column(j)), Fraction(0)) for j in range(reduced.cols)
     )

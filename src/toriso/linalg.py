@@ -2,10 +2,12 @@
 else is built on.
 
 All arithmetic is over Fraction; there is deliberately no float path.
-Determinants come from fraction-free Bareiss elimination, positive
-definiteness from an exact LDL^T factorization, lattice bases from a
-column-style Hermite normal form, and certified eigenvalue bounds from
-Sturm sign counts on the characteristic polynomial.
+Rational input is cleared to integers by one common denominator
+(_denominator_scale), after which determinants, positive definiteness
+and the exact LDL^T factors all come from one fraction-free Bareiss
+elimination (Bareiss, Math. Comp. 22 (1968) 565-578).  Lattice bases come
+from a column-style Hermite normal form, and certified eigenvalue bounds
+from Sturm sign counts on the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
-
-Rat = Fraction
 
 
 class LinalgError(ValueError):
@@ -35,7 +35,7 @@ class RankError(LinalgError):
 
 
 class NotPositiveDefiniteError(LinalgError):
-    """A pivot of the exact LDL^T factorization failed to be positive."""
+    """A leading principal minor (a Bareiss pivot) failed to be positive."""
 
 
 def _rat(x) -> Fraction:
@@ -81,10 +81,6 @@ class Mat:
         one, zero = Fraction(1), Fraction(0)
         return Mat(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, (Fraction(0),) * (rows * cols))
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -96,9 +92,6 @@ class Mat:
 
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def column_lists(self) -> list[list[Fraction]]:
-        return [list(self.column(j)) for j in range(self.cols)]
 
     @property
     def is_square(self) -> bool:
@@ -187,112 +180,104 @@ class LdlFactor:
     diag: tuple[Fraction, ...]
 
 
-def _denominator_scale(m: Mat) -> int:
+def _normalize(x: Fraction):
+    """An integral Fraction as int, anything else unchanged."""
+    return int(x) if x.denominator == 1 else x
+
+
+def _denominator_scale(entries: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators of the entries."""
     s = 1
-    for x in m.entries:
+    for x in entries:
         s = s * x.denominator // gcd(s, x.denominator)
     return s
 
 
-def _bareiss_det_int(a: list[list[int]]) -> int:
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, n):
-                # two-step fraction-free update; division is exact
-                ri[j] = (ri[j] * pk - aik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
+def _integer_rows(m: Mat) -> tuple[list[list[int]], int]:
+    """Clear denominators: returns (rows of s * m, s), s least."""
+    s = _denominator_scale(m.entries)
+    return [[int(x * s) for x in m.row(i)] for i in range(m.rows)], s
+
+
+def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
+    """Eliminate column k below the pivot a[k][k] in place; prev is the
+    previous pivot, by which every update divides exactly."""
+    pk, rk = a[k][k], a[k]
+    for i in range(k + 1, len(a)):
+        ri = a[i]
+        aik = ri[k]
+        for j in range(k + 1, len(a)):
+            ri[j] = (ri[j] * pk - aik * rk[j]) // prev
+        ri[k] = 0
 
 
 def det(m: Mat) -> Fraction:
     """Determinant by fraction-free Bareiss elimination."""
     if not m.is_square:
         raise DimensionError("determinant of non-square matrix")
-    if m.rows == 0:
+    n = m.rows
+    if n == 0:
         return Fraction(1)
-    s = _denominator_scale(m)
-    a = [[int(x * s) for x in m.row(i)] for i in range(m.rows)]
-    d = _bareiss_det_int(a)
-    return Fraction(d, s**m.rows)
+    a, s = _integer_rows(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        _bareiss_step(a, k, prev)
+        prev = a[k][k]
+    return Fraction(sign * a[n - 1][n - 1], s**n)
 
 
-def fraction_free_upper(q: Mat) -> tuple[list[list[int]], list[int]]:
-    """Bareiss upper-triangular data for a symmetric positive-definite
-    integer matrix.
+def fraction_free_upper(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Bareiss upper-triangular data for a symmetric integer matrix given
+    as rows; the rows are overwritten.
 
     Returns (u, minors) where minors[i] is the i-th leading principal minor
     (minors[0] = 1) and u[i][j] for j >= i carries the fraction-free row
     entries, so the LDL^T factors are d_i = minors[i+1]/minors[i] and
     L[j][i] = u[i][j]/minors[i+1].  Raises NotPositiveDefiniteError as soon
-    as a leading minor fails to be positive, which doubles as the exact
-    positive-definiteness test for integer forms.
+    as a leading minor fails to be positive: this is the library's one
+    exact positive-definiteness test.
     """
-    if not q.is_symmetric():
-        raise ShapeError("symmetric matrix required")
-    if not q.is_integral():
-        raise ShapeError("integer entries required")
-    a = [[int(x) for x in q.row(i)] for i in range(q.rows)]
-    n = q.rows
     minors = [1]
-    for k in range(n):
-        prev = minors[-1]
+    for k in range(len(a)):
         # the pivot after k elimination steps equals the (k+1)-st leading minor
-        pk = a[k][k]
-        if pk <= 0:
+        if a[k][k] <= 0:
             raise NotPositiveDefiniteError(f"leading minor {k + 1} is not positive")
-        minors.append(pk)
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - aik * rk[j]) // prev
-            ri[k] = 0
+        _bareiss_step(a, k, minors[-1])
+        minors.append(a[k][k])
     return a, minors
 
 
+def _positive_definite_data(q: Mat) -> tuple[list[list[int]], list[int], int]:
+    """(u, minors, s) of fraction_free_upper on the rows of s * q; raises
+    unless q is symmetric positive definite."""
+    if not q.is_symmetric():
+        raise ShapeError("symmetric matrix required")
+    rows, s = _integer_rows(q)
+    u, minors = fraction_free_upper(rows)
+    return u, minors, s
+
+
 def ldl(q: Mat) -> LdlFactor:
-    """Exact LDL^T factorization of a symmetric positive-definite matrix."""
+    """Exact LDL^T factorization of a symmetric positive-definite matrix,
+    read off the Bareiss data of the denominator-cleared matrix s * q:
+    d_i = minors[i+1] / (minors[i] * s) and L[j][i] = u[i][j] / minors[i+1]."""
     if not q.is_square:
         raise DimensionError("ldl of non-square matrix")
-    if not q.is_symmetric():
-        raise ShapeError("ldl requires a symmetric matrix")
+    u, minors, s = _positive_definite_data(q)
     n = q.rows
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    dd: list[Fraction] = []
-    for j in range(n):
-        dj = q.at(j, j) - sum((lower[j][k] * lower[j][k] * dd[k] for k in range(j)), Fraction(0))
-        if dj <= 0:
-            raise NotPositiveDefiniteError(f"pivot {j + 1} is {dj}, not positive")
-        dd.append(dj)
-        for i in range(j + 1, n):
-            num = q.at(i, j) - sum((lower[i][k] * lower[j][k] * dd[k] for k in range(j)), Fraction(0))
-            lower[i][j] = num / dj
-    return LdlFactor(Mat.from_rows(lower), tuple(dd))
-
-
-def is_positive_definite(q: Mat) -> bool:
-    try:
-        ldl(q)
-    except NotPositiveDefiniteError:
-        return False
-    return True
+    lower = [
+        [Fraction(u[j][i], minors[j + 1]) if j < i else Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    diag = tuple(Fraction(minors[i + 1], minors[i] * s) for i in range(n))
+    return LdlFactor(Mat.from_rows(lower), diag)
 
 
 def _row_hnf_int(rows: list[list[int]]) -> list[list[int]]:
@@ -361,9 +346,7 @@ def lattices_equal(a: Mat, b: Mat) -> bool:
     Rational entries are allowed; both matrices are cleared by one common
     denominator first, which leaves the comparison unchanged.
     """
-    s = 1
-    for x in a.entries + b.entries:
-        s = s * x.denominator // gcd(s, x.denominator)
+    s = _denominator_scale(a.entries + b.entries)
     return hnf(a.scaled(s)) == hnf(b.scaled(s))
 
 
@@ -482,12 +465,6 @@ def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_in(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in the half-open interval (a, b]."""
-    chain = sturm_chain(coeffs)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
 def eigenvalue_lower_bound(q: Mat, eps: Fraction) -> Fraction:
     """Certified rational lower bound for the smallest eigenvalue.
 
@@ -499,7 +476,7 @@ def eigenvalue_lower_bound(q: Mat, eps: Fraction) -> Fraction:
     eps = _rat(eps)
     if eps <= 0:
         raise LinalgError("eps must be positive")
-    ldl(q)  # positive definiteness gate
+    _positive_definite_data(q)  # raises unless q is positive definite
     p = char_poly(q)
     chain = sturm_chain(p)
     lo = Fraction(0)

@@ -19,6 +19,10 @@ rows; the orbit minimum of those ids is the canonical monomial form, so
 class representatives come out canonical for free.  Determinism: bucket
 keys, class representatives, and reported tuples are all sorted, so a
 finished search is byte-for-byte reproducible.
+
+_patterns and _free_positions are the library's one enumeration of
+codes.  The scalar orbit in toriso.codes repeats the numpy orbit here on
+purpose, as verify_tuple's independent re-check (see that module).
 """
 
 from __future__ import annotations
@@ -27,10 +31,13 @@ import dataclasses
 import gzip
 import itertools
 import json
+import os
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log2
+from pathlib import Path
 
 import numpy as np
 
@@ -231,41 +238,6 @@ def _scan_partition_job(args):
     return _scan_partition(*args)
 
 
-def _candidate(codes, bucket_size, class_sizes) -> CollisionTuple:
-    return CollisionTuple(
-        codes=tuple(codes),
-        lattices=tuple(lift(c) for c in codes),
-        weight_distribution=weight_distribution(codes[0]),
-        bucket_size=bucket_size,
-        class_sizes=tuple(class_sizes),
-    )
-
-
-def collide_codes(codes, min_tuple: int = 2) -> tuple[CollisionTuple, ...]:
-    """Group an explicit list of codes by weight distribution and split
-    each group into monomial classes; scalar path, for small inputs.
-    The returned candidates are unverified (see verify_tuple)."""
-    if min_tuple < 2:
-        raise CodeError("min_tuple must be at least 2")
-    by_dist: dict = {}
-    for c in codes:
-        by_dist.setdefault(weight_distribution(c), []).append(c)
-    tuples = []
-    for members in by_dist.values():
-        classes: dict = {}
-        for c in members:
-            canon = canonical_monomial_form(c)
-            classes.setdefault(canon.rows, [canon, 0])
-            classes[canon.rows][1] += 1
-        if len(classes) >= min_tuple:
-            reps = sorted(classes.values(), key=lambda item: item[0].rows)
-            tuples.append(
-                _candidate([r[0] for r in reps], len(members), [r[1] for r in reps])
-            )
-    tuples.sort(key=lambda t: tuple(c.rows for c in t.codes))
-    return tuple(tuples)
-
-
 def verify_tuple(codes) -> CollisionTuple:
     """Verify a collision claim about a sequence of codes from scratch
     and return the tuple with all artifacts attached; raises
@@ -327,12 +299,20 @@ def _checkpoint_load(path, params):
             data = json.load(fh)
     except FileNotFoundError:
         return {}
-    if data.get("params") != params:
+    except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CodeError(f"checkpoint is unreadable ({exc})") from None
+    if isinstance(data, dict) and data.get("params") != params:
         raise CodeError("checkpoint was written by a different search")
-    return {
-        key: {bytes.fromhex(h): np.array(ids, dtype=np.int64) for h, ids in part.items()}
-        for key, part in data.get("partitions", {}).items()
-    }
+    try:
+        done = {
+            key: {bytes.fromhex(h): np.array(ids, dtype=np.int64) for h, ids in part.items()}
+            for key, part in data.get("partitions", {}).items()
+        }
+        if any(ids.ndim != 1 for part in done.values() for ids in part.values()):
+            raise ValueError
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        raise CodeError("checkpoint is malformed") from None
+    return done
 
 
 def _checkpoint_save(path, params, done):
@@ -343,8 +323,15 @@ def _checkpoint_save(path, params, done):
             for key, part in done.items()
         },
     }
-    with gzip.open(path, "wt") as fh:
-        json.dump(payload, fh)
+    # a crash mid-save must leave the previous checkpoint intact
+    tmp = Path(f"{path}.tmp")
+    try:
+        with gzip.open(tmp, "wt") as fh:
+            json.dump(payload, fh)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def run_search(
@@ -427,7 +414,8 @@ def run_search(
             rep_rows = _unpack(int(rem[0]), q, k, n)
             orbit = _orbit_ids(rep_rows, q, n, powers)
             member = np.isin(rem, orbit, assume_unique=True)
-            assert member[0], "representative must lie in its own orbit"
+            if not member[0]:
+                raise ArithmeticError("representative must lie in its own orbit")
             classes.append((int(orbit.min()), int(member.sum())))
             rem = rem[~member]
         if len(classes) < min_tuple:
@@ -437,10 +425,9 @@ def run_search(
         sizes = tuple(sz for _, sz in classes)
         if verify:
             tup = verify_tuple(codes)
-            tup = dataclasses.replace(tup, bucket_size=int(len(ids)), class_sizes=sizes)
         else:
-            tup = _candidate(codes, int(len(ids)), sizes)
-        collisions.append(tup)
+            tup = CollisionTuple(codes, tuple(lift(c) for c in codes), weight_distribution(codes[0]))
+        collisions.append(dataclasses.replace(tup, bucket_size=int(len(ids)), class_sizes=sizes))
 
     collisions.sort(key=lambda t: tuple(c.rows for c in t.codes))
     return SearchReport(

@@ -24,11 +24,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .enumeration import rep_spectrum
 from .lattices import GramForm, form_direct_sum, is_even, level
-from .linalg import DimensionError, det
+from .linalg import DimensionError, ShapeError, _denominator_scale, _normalize, det
 
 
 class Verdict(enum.Enum):
@@ -78,8 +77,6 @@ def hecke_threshold(q: GramForm):
 
     Defined for even integral forms of even dimension 2k as
     mu0(level) * k / 6 + 2."""
-    from .linalg import ShapeError
-
     if not q.matrix.is_integral():
         raise ShapeError("threshold requires an integral form")
     if not is_even(q):
@@ -87,12 +84,7 @@ def hecke_threshold(q: GramForm):
     if q.dimension == 0 or q.dimension % 2 != 0:
         raise DimensionError("threshold requires even dimension")
     k = q.dimension // 2
-    thr = Fraction(mu0(level(q)) * k, 6) + 2
-    return int(thr) if thr.denominator == 1 else thr
-
-
-def _normalize(x: Fraction):
-    return int(x) if x.denominator == 1 else x
+    return _normalize(Fraction(mu0(level(q)) * k, 6) + 2)
 
 
 def _spectra_differ(a: GramForm, b: GramForm, cap):
@@ -135,9 +127,7 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
     dim = a.dimension
     det_a, det_b = det(a.matrix), det(b.matrix)
 
-    s = 1
-    for x in a.matrix.entries + b.matrix.entries:
-        s = s * x.denominator // gcd(s, x.denominator)
+    s = _denominator_scale(a.matrix.entries + b.matrix.entries)
     qa = GramForm(a.matrix.scaled(s)) if s != 1 else a
     qb = GramForm(b.matrix.scaled(s)) if s != 1 else b
     if s != 1:

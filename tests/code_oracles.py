@@ -1,0 +1,60 @@
+"""Scalar test oracles for code enumeration and collision grouping.
+
+They share only LinearCode's canonical rows and weight_distribution with
+the library, and none of the scan's pivot-pattern enumeration or numpy
+orbit code, so agreement with toriso.search is evidence rather than
+circularity.
+"""
+
+import itertools
+
+from toriso.codes import LinearCode, weight_distribution
+
+
+def monomial_images(code):
+    """Every image of the code under signed coordinate permutations."""
+    q, n = code.modulus, code.length
+    signs = (1,) if q == 2 else (1, q - 1)
+    for perm in itertools.permutations(range(n)):
+        for sign in itertools.product(signs, repeat=n):
+            rows = tuple(tuple(sign[i] * r[perm[i]] % q for i in range(n)) for r in code.rows)
+            yield LinearCode(q, n, rows)
+
+
+def all_codes(q, n, k):
+    """Every k-dimensional code of length n over Z_q, brute force: all
+    k-subsets of nonzero vectors, kept when they span rank k."""
+    nonzero = [v for v in itertools.product(range(q), repeat=n) if any(v)]
+    seen = {}
+    for rows in itertools.combinations(nonzero, k):
+        code = LinearCode(q, n, rows)
+        if len(code.rows) == k:
+            seen.setdefault(code.rows, code)
+    return [seen[rows] for rows in sorted(seen)]
+
+
+def collide_codes(codes, min_tuple=2):
+    """Bucket codes by weight distribution, then split each bucket into
+    monomial classes by subtracting one member's full scalar orbit at a
+    time.  Returns (class representatives, bucket size, class sizes) per
+    bucket with at least min_tuple classes, representatives being the
+    least canonical rows of each orbit, everything sorted."""
+    buckets = {}
+    for c in codes:
+        buckets.setdefault(weight_distribution(c), []).append(c)
+    out = []
+    for members in buckets.values():
+        if len(members) < min_tuple:
+            continue
+        q, n = members[0].modulus, members[0].length
+        rest = [c.rows for c in members]
+        classes = []
+        while rest:
+            orbit = {img.rows for img in monomial_images(LinearCode(q, n, min(rest)))}
+            classes.append((min(orbit), sum(rows in orbit for rows in rest)))
+            rest = [rows for rows in rest if rows not in orbit]
+        if len(classes) >= min_tuple:
+            classes.sort()
+            out.append((tuple(rows for rows, _ in classes), len(members), tuple(size for _, size in classes)))
+    out.sort()
+    return out

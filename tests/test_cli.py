@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toriso
 from toriso import formats, triplet
 from toriso.cli import main
 from toriso.codes import lift, weight_distribution
@@ -213,6 +218,17 @@ def test_paper_triplet_json(capsys):
     doc = json.loads(out)
     assert doc["stages"]["isospectrality"] == "PASS"
     assert doc["stages"]["code-correspondence"] == "PASS"
+
+
+def test_paper_triplet_passes_under_python_O():
+    # verdict checks are real exceptions, not asserts that -O strips
+    src = str(Path(toriso.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "toriso.cli", "paper-triplet"], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr
+    assert "irreducibility: PASS" in done.stdout.splitlines()
 
 
 def test_unknown_verb_rejected(capsys):

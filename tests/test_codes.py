@@ -1,21 +1,22 @@
+import itertools
 import random
 
 import pytest
 
+from code_oracles import all_codes, monomial_images
 from toriso.codes import (
     CodeError,
     LinearCode,
     canonical_monomial_form,
-    enumerate_codes,
     equal_weight_distribution,
     lift,
-    monomial_images,
     project,
     weight_distribution,
     weight_signature,
 )
 from toriso.lattices import LatticeError, Lattice
 from toriso.linalg import Mat, det, lattices_equal
+from toriso.search import _free_positions, _patterns, run_search
 from toriso import triplet
 
 
@@ -75,7 +76,7 @@ def test_projection_requires_containment():
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (3, 3)])
 def test_lift_project_round_trip_all_small_codes(q, n):
     for k in range(0, n + 1):
-        for code in enumerate_codes(q, n, k):
+        for code in all_codes(q, n, k):
             lat = lift(code)
             assert project(lat, q) == code
             # the lift always sits between qZ^n and Z^n
@@ -85,30 +86,47 @@ def test_lift_project_round_trip_all_small_codes(q, n):
             assert det(lat.basis) * code.size == q**n
 
 
+def scan_codes(q, n, k, family="all"):
+    # the generator matrices the scan builds: one pivot pattern at a time,
+    # free positions filled with every tuple of residues
+    for pivots in _patterns(n, k, family):
+        free = _free_positions(n, k, pivots)
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [[int(j == p) for j in range(n)] for p in pivots]
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield tuple(tuple(r) for r in rows)
+
+
 def test_enumerate_codes_counts():
-    assert sum(1 for _ in enumerate_codes(2, 3, 1)) == 7
-    assert sum(1 for _ in enumerate_codes(2, 3, 2)) == 7
-    assert sum(1 for _ in enumerate_codes(3, 2, 1)) == 4
-    assert sum(1 for _ in enumerate_codes(5, 4, 2, family="systematic")) == 5**4
+    # Gaussian binomials, and the scan counts the same codes
+    for q, n, k, count in ((2, 3, 1, 7), (2, 3, 2, 7), (3, 2, 1, 4), (3, 3, 2, 13)):
+        assert len(all_codes(q, n, k)) == count
+        assert run_search(q, n, k, verify=False).codes_scanned == count
+    assert run_search(5, 4, 2, family="systematic", verify=False).codes_scanned == 5**4
 
 
 def test_enumerate_codes_yields_distinct_canonical_codes():
-    seen = set(c.rows for c in enumerate_codes(3, 3, 2))
-    assert len(seen) == 13
+    # every scanned generator matrix is already canonical, and the scan
+    # meets every code exactly once
+    for q, n, k in ((2, 4, 2), (3, 3, 2), (3, 4, 1)):
+        rows = list(scan_codes(q, n, k))
+        assert all(LinearCode(q, n, r).rows == r for r in rows)
+        assert sorted(rows) == [c.rows for c in all_codes(q, n, k)]
 
 
 def test_enumerate_codes_systematic_have_identity_block():
-    for c in enumerate_codes(5, 4, 2, family="systematic"):
-        assert [r[:2] for r in c.rows] == [(1, 0), (0, 1)]
+    for rows in scan_codes(5, 4, 2, family="systematic"):
+        assert [r[:2] for r in rows] == [(1, 0), (0, 1)]
 
 
 def test_enumerate_codes_input_validation():
     with pytest.raises(CodeError):
-        list(enumerate_codes(4, 3, 1))
+        run_search(4, 3, 1)
     with pytest.raises(CodeError):
-        list(enumerate_codes(5, 3, 4))
+        run_search(5, 3, 4)
     with pytest.raises(CodeError):
-        list(enumerate_codes(5, 3, 1, family="weird"))
+        run_search(5, 3, 1, family="weird")
 
 
 def test_non_prime_modulus_codes_work():

@@ -6,15 +6,32 @@ import pytest
 from toriso.decomposition import (
     Component,
     Decomposition,
-    component_determinants,
     decompose,
     decompose_form,
-    is_decomposable_vector,
     is_irreducible,
 )
+from toriso.enumeration import enumerate_up_to
 from toriso.lattices import GramForm, Lattice, gram
 from toriso.linalg import DimensionError, Mat, det
 from toriso import triplet
+
+
+def is_decomposable_vector(q, v):
+    # oracle: v is decomposable iff some x with 0 < |x|^2 < |v|^2 has
+    # |<x, v>| >= |x|^2, checked over the whole ball of norm |v|^2
+    norm = q.value(v)
+    if norm == 0:
+        raise ValueError("zero vector has no decomposition")
+    qv = q.matrix.apply(v)
+    for x, xnorm in enumerate_up_to(q, norm):
+        if xnorm != norm and abs(sum(a * b for a, b in zip(x, qv))) >= xnorm:
+            return True
+    return False
+
+
+def component_determinants(q, d):
+    # det of q restricted to each component
+    return tuple(det(c.basis.transpose() @ q.matrix @ c.basis) for c in d.components)
 
 
 def contains_up_to_sign(vectors, v):
@@ -36,7 +53,7 @@ def test_block_form_splits_into_blocks():
     d = decompose_form(q)
     assert len(d.components) == 2
     assert sorted(c.rank for c in d.components) == [1, 2]
-    assert component_determinants(q, d) in ((3, 3), (3, 3))
+    assert component_determinants(q, d) == (3, 3)
     prod = 1
     for x in component_determinants(q, d):
         prod *= x
@@ -73,6 +90,9 @@ def test_ladder_vector_is_indecomposable():
     l = triplet.lattice(1)
     q = gram(l)
     assert not is_decomposable_vector(q, l.coordinates(triplet.V3))
+    # every vector decompose_form keeps passes the full-ball oracle
+    for v in decompose_form(q).components[0].vectors:
+        assert not is_decomposable_vector(q, v)
 
 
 def test_bundled_lattices_are_irreducible():

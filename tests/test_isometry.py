@@ -7,11 +7,11 @@ from toriso.isometry import (
     EquivalenceWitness,
     SearchBudgetExceeded,
     SearchStats,
-    congruent_lattices,
+    _verify,
     integral_equivalence,
     norm_caps,
 )
-from toriso.lattices import GramForm, gram, scale
+from toriso.lattices import GramForm
 from toriso.linalg import Mat, det
 from toriso import triplet
 
@@ -134,11 +134,14 @@ def test_node_budget_raises():
     assert "budget exhausted" in exc.value.stats.notes
 
 
-def test_congruent_lattices_wrapper():
-    l = triplet.lattice(1)
-    w = congruent_lattices(l, l)
-    assert w.found
-    assert not congruent_lattices(l, scale(l, 2)).found
+def test_verify_raises_on_non_witness():
+    # the witness check is a real exception, so it survives python -O
+    q = GramForm(Mat.from_rows([[2, 1], [1, 2]]))
+    _verify(q, q, Mat.from_rows([[0, 1], [1, 0]]))
+    with pytest.raises(ArithmeticError):
+        _verify(q, q, Mat.identity(2).scaled(-2))
+    with pytest.raises(ArithmeticError):
+        _verify(q, GramForm(Mat.from_rows([[2, -1], [-1, 2]])), Mat.identity(2))
 
 
 def test_witness_type_is_frozen():

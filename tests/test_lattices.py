@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 
 from toriso.lattices import (
-    FormClassTags,
     GramForm,
     Lattice,
     LatticeError,
     MembershipError,
     choir_family,
-    classify,
     direct_sum,
     double_form,
     dual,
@@ -50,6 +48,8 @@ def test_gramform_rejects_asymmetric_and_indefinite():
         GramForm(Mat.from_rows([[1, 2], [0, 1]]))
     with pytest.raises(NotPositiveDefiniteError):
         GramForm(Mat.from_rows([[1, 0], [0, -1]]))
+    with pytest.raises(NotPositiveDefiniteError):
+        GramForm(Mat.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 2)]]))
 
 
 def test_coordinates_round_trip():
@@ -113,8 +113,9 @@ def test_level_requires_integral_form():
 
 
 def test_classify_tags():
-    tags = classify(double_form(triplet.gram_form(1)))
-    assert tags == FormClassTags(det=triplet.DOUBLED_DET, is_even=True, level=triplet.DOUBLED_LEVEL)
+    # the class tags of the doubled triplet form: determinant, evenness, level
+    q = double_form(triplet.gram_form(1))
+    assert (det(q.matrix), is_even(q), level(q)) == (triplet.DOUBLED_DET, True, triplet.DOUBLED_LEVEL)
 
 
 def test_direct_sum_blocks():

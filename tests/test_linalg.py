@@ -9,8 +9,8 @@ from toriso.linalg import (
     NotPositiveDefiniteError,
     RankError,
     ShapeError,
+    _sign_variations,
     char_poly,
-    count_roots_in,
     det,
     eigenvalue_lower_bound,
     fraction_free_upper,
@@ -19,8 +19,32 @@ from toriso.linalg import (
     ldl,
     lll_reduce,
     poly_eval,
+    sturm_chain,
 )
 from toriso.triplet import Q1_ROWS
+
+
+def count_roots_in(coeffs, a, b):
+    # number of distinct real roots in the half-open interval (a, b]
+    chain = sturm_chain(coeffs)
+    return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+
+def fraction_ldl(q):
+    # independent oracle: the textbook LDL^T recursion over Fraction, with
+    # no fraction-free elimination; returns (lower rows, diagonal)
+    n = q.rows
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    dd = []
+    for j in range(n):
+        dj = q.at(j, j) - sum((lower[j][k] * lower[j][k] * dd[k] for k in range(j)), Fraction(0))
+        if dj <= 0:
+            raise NotPositiveDefiniteError(f"pivot {j + 1} is {dj}, not positive")
+        dd.append(dj)
+        for i in range(j + 1, n):
+            num = q.at(i, j) - sum((lower[i][k] * lower[j][k] * dd[k] for k in range(j)), Fraction(0))
+            lower[i][j] = num / dj
+    return lower, dd
 
 
 def cofactor_det(rows):
@@ -99,17 +123,34 @@ def test_fraction_free_upper_agrees_with_ldl():
     for _ in range(50):
         n = rng.randint(2, 5)
         q = random_spd(rng, n, -5, 5)
-        u, minors = fraction_free_upper(q)
-        f = ldl(q)
+        u, minors = fraction_free_upper(q.int_rows())
+        lower, diag = fraction_ldl(q)
         for i in range(n):
-            assert Fraction(minors[i + 1], minors[i]) == f.diag[i]
+            assert Fraction(minors[i + 1], minors[i]) == diag[i]
             for j in range(i + 1, n):
-                assert Fraction(u[i][j], minors[i + 1]) == f.lower.at(j, i)
+                assert Fraction(u[i][j], minors[i + 1]) == lower[j][i]
+        f = ldl(q)
+        assert f.diag == tuple(diag)
+        assert f.lower == Mat.from_rows(lower)
+
+
+def test_ldl_matches_fraction_oracle_on_rational_forms():
+    # ldl clears denominators before the fraction-free elimination
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        q = random_spd(rng, n, -4, 4).scaled(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        lower, diag = fraction_ldl(q)
+        f = ldl(q)
+        assert f.diag == tuple(diag)
+        assert f.lower == Mat.from_rows(lower)
+    with pytest.raises(NotPositiveDefiniteError):
+        ldl(Mat.from_rows([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]))
 
 
 def test_fraction_free_upper_flags_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
-        fraction_free_upper(Mat.from_rows([[0, 1], [1, 0]]))
+        fraction_free_upper([[0, 1], [1, 0]])
 
 
 def test_hnf_fixed_points_and_rank():

@@ -1,8 +1,13 @@
+import gzip
+import json
+
 import numpy as np
 import pytest
 
-from toriso import triplet
-from toriso.codes import CodeError, LinearCode, canonical_monomial_form, monomial_images
+from code_oracles import all_codes, collide_codes, monomial_images
+from toriso import search, triplet
+from toriso.cli import main
+from toriso.codes import CodeError, LinearCode, canonical_monomial_form, weight_distribution
 from toriso.search import (
     TupleVerificationError,
     _batch_rref,
@@ -10,7 +15,6 @@ from toriso.search import (
     _pack,
     _pack_powers,
     _unpack,
-    collide_codes,
     run_search,
     verify_tuple,
 )
@@ -66,32 +70,34 @@ def test_orbit_ids_match_scalar_orbit():
 
 
 def test_collide_codes_positive_control():
+    # the test-side grouping oracle finds the bundled triple among padding
     padding = [
         LinearCode(5, 6, ((1, 0, 0, 0, 0, 0),)),
         LinearCode(5, 6, ((1, 1, 1, 1, 1, 1), (0, 1, 2, 3, 4, 0))),
     ]
     tuples = collide_codes([triplet.code(1), triplet.code(2), triplet.code(3)] + padding, min_tuple=3)
-    assert len(tuples) == 1
-    t = tuples[0]
-    assert t.bucket_size == 3
-    assert t.class_sizes == (1, 1, 1)
-    assert not t.verified  # candidates carry no certificates yet
-    want = {canonical_monomial_form(triplet.code(i)).rows for i in (1, 2, 3)}
-    assert {c.rows for c in t.codes} == want
+    want = tuple(sorted(canonical_monomial_form(triplet.code(i)).rows for i in (1, 2, 3)))
+    assert tuples == [(want, 3, (1, 1, 1))]
 
 
 def test_collide_codes_collapses_monomial_images():
-    image = next(iter(monomial_images(triplet.code(1))))
-    tuples = collide_codes([triplet.code(1), image], min_tuple=2)
-    assert tuples == ()  # same class, no collision
-    tuples = collide_codes([triplet.code(1), image, triplet.code(2)], min_tuple=2)
+    c1 = triplet.code(1)
+    image = next(im for im in monomial_images(c1) if im.rows != c1.rows)
+    assert collide_codes([triplet.code(1), image], min_tuple=2) == []  # same class, no collision
+    tuples = collide_codes([c1, image, triplet.code(2)], min_tuple=2)
     assert len(tuples) == 1
-    assert sorted(tuples[0].class_sizes, reverse=True) == [2, 1]
+    assert sorted(tuples[0][2], reverse=True) == [2, 1]
 
 
-def test_collide_codes_min_tuple_guard():
-    with pytest.raises(CodeError):
-        collide_codes([triplet.code(1)], min_tuple=1)
+def test_run_search_matches_brute_force_oracle():
+    # (2, 6, 3) is the smallest space tried with a collision: 1,395 codes
+    # in 21 buckets, one 2-tuple from a bucket of 35
+    codes = all_codes(2, 6, 3)
+    rep = run_search(2, 6, 3, family="all", verify=False)
+    assert rep.codes_scanned == len(codes) == 1395
+    assert rep.distinct_distributions == len({weight_distribution(c) for c in codes}) == 21
+    got = [(tuple(c.rows for c in t.codes), t.bucket_size, t.class_sizes) for t in rep.collisions]
+    assert got == collide_codes(codes) == [(got[0][0], 35, (20, 15))]
 
 
 def test_verify_tuple_accepts_bundled_triple():
@@ -162,6 +168,40 @@ def test_run_search_checkpoint_roundtrip(tmp_path):
     assert a == b
     with pytest.raises(CodeError):
         run_search(3, 4, 1, family="all", min_tuple=2, verify=False, checkpoint_path=path)
+
+
+def _codesearch(tmp_path, checkpoint):
+    return main(["codesearch", "--q", "3", "--n", "4", "--k", "2", "--out", str(tmp_path / "out"), "--checkpoint", str(checkpoint)])
+
+
+def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
+    path = tmp_path / "scan.json.gz"
+    run_search(3, 4, 2, family="all", min_tuple=2, verify=False, checkpoint_path=path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    assert _codesearch(tmp_path, path) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    with gzip.open(path, "wt") as fh:
+        json.dump([1, 2], fh)
+    assert _codesearch(tmp_path, path) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch):
+    path = tmp_path / "scan.json.gz"
+    want = run_search(3, 4, 2, family="all", min_tuple=2, verify=False, checkpoint_path=path)
+    before = path.read_bytes()
+
+    def crash(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(search.json, "dump", crash)
+    with pytest.raises(KeyboardInterrupt):
+        search._checkpoint_save(path, {"q": 3}, {})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.json.gz"]
+    assert run_search(3, 4, 2, family="all", min_tuple=2, verify=False, checkpoint_path=path) == want
 
 
 def test_run_search_parallel_matches_serial(tmp_path):
