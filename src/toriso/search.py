@@ -3,22 +3,32 @@ monomially inequivalent codes sharing one folded weight distribution.
 
 The scan is exact end to end.  Codes are generated per reduced-echelon
 pivot pattern, their full codeword tables computed in vectorized batches,
-and each code's distribution of folded-value counts becomes an exact
-bucket key (two codes land in one bucket if and only if their weight
-distributions are equal, so bucketing loses nothing and a second
-comparison stage is unnecessary).  Buckets are then partitioned into
-monomial equivalence classes by orbit subtraction: the full signed
-permutation orbit of one member is expanded, reduced to canonical form,
-and intersected with the bucket, which removes that class exactly.
-Buckets with at least min_tuple classes survive as collision tuples and
-are re-verified through the scalar code path and the lattice
-correspondence before being reported.
+and each code's distribution of folded-value counts, read as one opaque
+byte row, becomes an exact bucket key (two codes land in one bucket if
+and only if their weight distributions are equal, so bucketing loses
+nothing and a second comparison stage is unnecessary).  Buckets are then
+partitioned into monomial equivalence classes by orbit subtraction: the
+full signed permutation orbit of one member is expanded, reduced to
+canonical form, and intersected with the bucket, which removes that
+class exactly.  Buckets with at least min_tuple classes survive as
+collision tuples and are re-verified through the scalar code path and
+the lattice correspondence before being reported.
 
 Codes are tracked as packed base-q integers of their canonical generator
 rows; the orbit minimum of those ids is the canonical monomial form, so
 class representatives come out canonical for free.  Determinism: bucket
 keys, class representatives, and reported tuples are all sorted, so a
 finished search is byte-for-byte reproducible.
+
+A checkpoint is a sequence of gzip members, one JSON line each: a header
+{"schema": 2, "params": ...} naming the search, then one [key, {hex
+bucket key: code ids}] record per finished partition, in partition
+order.  Each record is encoded and compressed once, when its partition
+finishes, and appended; every save writes the whole byte string to a
+sibling temporary file and renames it over the checkpoint, so a crash
+leaves the previous checkpoint intact.  A resumed search reads the file
+once, skips the partitions it holds and appends the rest, so its final
+checkpoint is byte-identical to that of an uninterrupted run.
 
 _patterns and _free_positions are the library's one enumeration of
 codes.  The scalar orbit in toriso.codes repeats the numpy orbit here on
@@ -27,6 +37,7 @@ purpose, as verify_tuple's independent re-check (see that module).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gzip
 import itertools
@@ -54,6 +65,7 @@ from .lattices import Lattice, gram
 from .spectra import IsoCertificate, Verdict, certify
 
 MAX_TOTAL_CODES = 50_000_000
+CHECKPOINT_SCHEMA = 2
 
 
 class TupleVerificationError(RuntimeError):
@@ -207,11 +219,10 @@ def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
         g[:, fi, fj] = digits[:, idx]
 
     coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int16)
-    words = np.einsum("ck,mkn->mcn", coeffs, g) % q
     fold = np.minimum(np.arange(q), q - np.arange(q)).astype(np.int16)
-    folded = fold[words]
+    folded = fold[np.matmul(coeffs, g) % q]  # the raw table is not kept: less peak memory
     half = q // 2
-    sig = np.zeros(words.shape[:2], dtype=np.int64)
+    sig = np.zeros(folded.shape[:2], dtype=np.int64)
     radix = 1
     for w in range(1, half + 1):
         sig += (folded == w).sum(axis=2) * radix
@@ -222,9 +233,10 @@ def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
 
     powers = _pack_powers(q, k, n)
     packed = _pack(g, powers)
-    uniq, inverse = np.unique(dist, axis=0, return_inverse=True)
+    # each count row as one opaque byte string: equal keys are equal rows
+    rows = dist.view(np.dtype((np.void, bins * dist.itemsize))).ravel()
+    uniq, inverse = np.unique(rows, return_inverse=True)
     out = {}
-    inverse = inverse.ravel()
     order = np.argsort(inverse, kind="stable")
     boundaries = np.searchsorted(inverse[order], np.arange(len(uniq)))
     boundaries = np.append(boundaries, m)
@@ -293,41 +305,48 @@ def verify_tuple(codes) -> CollisionTuple:
     )
 
 
-def _checkpoint_load(path, params):
+def _checkpoint_member(obj) -> bytes:
+    return gzip.compress(json.dumps(obj).encode() + b"\n", compresslevel=6, mtime=0)
+
+
+def _checkpoint_load(path, params, keys):
+    """Finished partitions of a checkpoint and its bytes, to be appended
+    to; a missing file yields no partitions and a fresh header."""
     try:
-        with gzip.open(path, "rt") as fh:
-            data = json.load(fh)
+        state = Path(path).read_bytes()
     except FileNotFoundError:
-        return {}
-    except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodeError(f"checkpoint is unreadable ({exc})") from None
-    if isinstance(data, dict) and data.get("params") != params:
-        raise CodeError("checkpoint was written by a different search")
+        return {}, _checkpoint_member({"schema": CHECKPOINT_SCHEMA, "params": params})
     try:
-        done = {
-            key: {bytes.fromhex(h): np.array(ids, dtype=np.int64) for h, ids in part.items()}
-            for key, part in data.get("partitions", {}).items()
-        }
-        if any(ids.ndim != 1 for part in done.values() for ids in part.values()):
-            raise ValueError
-    except (AttributeError, TypeError, ValueError, OverflowError):
-        raise CodeError("checkpoint is malformed") from None
-    return done
+        header, *records = (json.loads(line) for line in gzip.decompress(state).decode().splitlines())
+    except (EOFError, gzip.BadGzipFile, zlib.error, ValueError) as exc:  # ValueError: decoding, JSON, empty
+        raise CodeError(f"checkpoint is unreadable ({exc})") from None
+    if not isinstance(header, dict) or header.get("schema") != CHECKPOINT_SCHEMA:
+        raise CodeError(f"checkpoint schema is missing or not {CHECKPOINT_SCHEMA}")
+    if header.get("params") != params:
+        raise CodeError("checkpoint was written by a different search")
+    done = {}
+    for record in records:
+        try:
+            key, part = record
+            foreign = key not in keys
+            part = {bytes.fromhex(h): np.array(ids, dtype=np.int64) for h, ids in part.items()}
+            if any(ids.ndim != 1 for ids in part.values()):
+                raise ValueError
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            raise CodeError("checkpoint is malformed") from None
+        if foreign:
+            raise CodeError(f"checkpoint holds partition {key!r}, which this search does not have")
+        if key in done:
+            raise CodeError(f"checkpoint holds partition {key!r} twice")
+        done[key] = part
+    return done, state
 
 
-def _checkpoint_save(path, params, done):
-    payload = {
-        "params": params,
-        "partitions": {
-            key: {kb.hex(): [int(x) for x in ids] for kb, ids in part.items()}
-            for key, part in done.items()
-        },
-    }
+def _checkpoint_save(path, state: bytes):
     # a crash mid-save must leave the previous checkpoint intact
     tmp = Path(f"{path}.tmp")
     try:
-        with gzip.open(tmp, "wt") as fh:
-            json.dump(payload, fh)
+        tmp.write_bytes(state)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -377,22 +396,19 @@ def run_search(
             stop = min(start + chunk_size, total)
             partitions.append((f"{p_idx}:{c_idx}", (q, n, k, piv, start, stop, bins, count_dtype)))
 
-    done = _checkpoint_load(checkpoint_path, params) if checkpoint_path else {}
+    done, state = {}, b""
+    if checkpoint_path:
+        done, state = _checkpoint_load(checkpoint_path, params, {key for key, _ in partitions})
     pending = [(key, args) for key, args in partitions if key not in done]
 
-    if jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (key, _), result in zip(pending, pool.map(_scan_partition_job, [a for _, a in pending])):
-                done[key] = result
-                if checkpoint_path:
-                    _checkpoint_save(checkpoint_path, params, done)
-                if progress:
-                    progress(len(done), len(partitions))
-    else:
-        for key, args in pending:
-            done[key] = _scan_partition(*args)
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and pending else None
+    with pool or contextlib.nullcontext():
+        scans = (pool.map if pool else map)(_scan_partition_job, [a for _, a in pending])
+        for (key, _), result in zip(pending, scans):
+            done[key] = result
             if checkpoint_path:
-                _checkpoint_save(checkpoint_path, params, done)
+                state += _checkpoint_member([key, {kb.hex(): ids.tolist() for kb, ids in result.items()}])
+                _checkpoint_save(checkpoint_path, state)
             if progress:
                 progress(len(done), len(partitions))
 

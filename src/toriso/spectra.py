@@ -83,8 +83,11 @@ def hecke_threshold(q: GramForm):
         raise ShapeError("threshold requires an even form")
     if q.dimension == 0 or q.dimension % 2 != 0:
         raise DimensionError("threshold requires even dimension")
-    k = q.dimension // 2
-    return _normalize(Fraction(mu0(level(q)) * k, 6) + 2)
+    return _threshold(level(q), q.dimension)
+
+
+def _threshold(lev: int, dimension: int):
+    return _normalize(Fraction(mu0(lev) * (dimension // 2), 6) + 2)
 
 
 def _spectra_differ(a: GramForm, b: GramForm, cap):
@@ -181,7 +184,7 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
             return finish(Verdict.NOT_ISOSPECTRAL, levels=(lev_a, lev_b), compared=fallback_scan_cap, first=first, table=table)
         return finish(Verdict.INCONCLUSIVE, levels=(lev_a, lev_b), compared=fallback_scan_cap, table=table)
 
-    threshold = hecke_threshold(qa)
+    threshold = _threshold(lev_a, qa.dimension)  # hecke_threshold(qa), reusing its level
     cap = Fraction(threshold) // 1
     if max_compare_t is not None:
         cap = min(cap, Fraction(max_compare_t) // 1)

@@ -1,12 +1,14 @@
 """Scalar test oracles for code enumeration and collision grouping.
 
 They share only LinearCode's canonical rows and weight_distribution with
-the library, and none of the scan's pivot-pattern enumeration or numpy
-orbit code, so agreement with toriso.search is evidence rather than
-circularity.
+the library, and none of the scan's pivot-pattern enumeration, codeword
+tables, bucket grouping or numpy orbit code, so agreement with
+toriso.search is evidence rather than circularity.
 """
 
 import itertools
+
+import numpy as np
 
 from toriso.codes import LinearCode, weight_distribution
 
@@ -58,3 +60,23 @@ def collide_codes(codes, min_tuple=2):
             out.append((tuple(rows for rows, _ in classes), len(members), tuple(size for _, size in classes)))
     out.sort()
     return out
+
+
+def count_row(code, dtype):
+    """The scan's bucket key of a code, from its scalar weight
+    distribution: entry s counts the words in which each folded value
+    w = 1..q//2 occurs c_w times, s = sum of c_w * (n + 1)**(w - 1)."""
+    q, n = code.modulus, code.length
+    row = np.zeros((n + 1) ** (q // 2), dtype=np.int64)
+    for sig in weight_distribution(code):
+        row[sum(sig.count(w) * (n + 1) ** (w - 1) for w in range(1, q // 2 + 1))] += 1
+    return row.astype(dtype)
+
+
+def group_rows(rows, ids):
+    """Group ids by equal count rows with a lexicographic np.unique over
+    whole rows (the scan's former grouping).  Returns {row bytes: sorted
+    ids}."""
+    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    return {row.tobytes(): np.sort(ids[inverse == u]) for u, row in enumerate(uniq)}

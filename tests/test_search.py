@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from code_oracles import all_codes, collide_codes, monomial_images
+from code_oracles import all_codes, collide_codes, count_row, group_rows, monomial_images
 from toriso import search, triplet
 from toriso.cli import main
 from toriso.codes import CodeError, LinearCode, canonical_monomial_form, weight_distribution
@@ -100,6 +100,35 @@ def test_run_search_matches_brute_force_oracle():
     assert got == collide_codes(codes) == [(got[0][0], 35, (20, 15))]
 
 
+@pytest.mark.parametrize(
+    "q, n, k, family, chunk, dtype",
+    [
+        (3, 4, 2, "all", 20, np.uint8),  # 130 codes in 11 partitions
+        # 343 codes of 343 words each: q**k > 255, so counts are uint16
+        (7, 4, 3, "systematic", 100, np.uint16),
+    ],
+)
+def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype):
+    bins = (n + 1) ** (q // 2)
+    seen = []
+    for piv in search._patterns(n, k, family):
+        total = q ** len(search._free_positions(n, k, piv))
+        for start in range(0, total, chunk):
+            got = search._scan_partition(q, n, k, piv, start, min(start + chunk, total), bins, dtype)
+            ids = np.concatenate(list(got.values()))
+            rows = np.array([count_row(LinearCode(q, n, _unpack(i, q, k, n)), dtype) for i in ids])
+            want = group_rows(rows, ids)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[kb], want[kb]) for kb in want)
+            seen += ids.tolist()
+    powers = _pack_powers(q, k, n)
+    if family == "all":
+        want_ids = [int(_pack(np.array([c.rows]), powers)[0]) for c in all_codes(q, n, k)]
+        assert sorted(seen) == sorted(want_ids)
+    else:
+        assert len(set(seen)) == len(seen) == q ** (k * (n - k))
+
+
 def test_verify_tuple_accepts_bundled_triple():
     t = verify_tuple([triplet.code(i) for i in (1, 2, 3)])
     assert t.verified
@@ -192,16 +221,70 @@ def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch):
     want = run_search(3, 4, 2, family="all", min_tuple=2, verify=False, checkpoint_path=path)
     before = path.read_bytes()
 
-    def crash(*args, **kwargs):
+    write_bytes = search.Path.write_bytes
+
+    def crash(self, data):
+        write_bytes(self, data[: len(data) // 2])  # interrupted halfway through the write
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(search.json, "dump", crash)
+    monkeypatch.setattr(search.Path, "write_bytes", crash)
     with pytest.raises(KeyboardInterrupt):
-        search._checkpoint_save(path, {"q": 3}, {})
+        search._checkpoint_save(path, before + search._checkpoint_member(["0:9", {}]))
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["scan.json.gz"]
     assert run_search(3, 4, 2, family="all", min_tuple=2, verify=False, checkpoint_path=path) == want
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        # a single-object checkpoint of the format without a schema
+        (lambda lines: [json.dumps({"params": json.loads(lines[0])["params"], "partitions": {}})], "schema"),
+        (lambda lines: [lines[0].replace('"schema": 2', '"schema": 3')] + lines[1:], "schema"),
+        (lambda lines: lines + [json.dumps(["0:99", {}])], "does not have"),
+        (lambda lines: lines + lines[-1:], "twice"),
+    ],
+    ids=["no-schema", "unknown-schema", "foreign-partition", "repeated-partition"],
+)
+def test_checkpoint_schema_and_records_are_checked(tmp_path, capsys, edit, problem):
+    path = tmp_path / "scan.json.gz"
+    run_search(3, 4, 2, family="all", min_tuple=2, verify=False, checkpoint_path=path)
+    assert _codesearch(tmp_path, path) == 0
+    capsys.readouterr()
+    lines = gzip.decompress(path.read_bytes()).decode().splitlines()
+    path.write_bytes(gzip.compress("".join(line + "\n" for line in edit(lines)).encode()))
+    assert _codesearch(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and problem in err and "Traceback" not in err
+
+
+class Stop(Exception):
+    pass
+
+
+def test_resumed_search_is_byte_identical(tmp_path):
+    kwargs = dict(family="all", min_tuple=2, verify=False, chunk_size=20)
+    full = tmp_path / "full.json.gz"
+    totals = []
+    want = run_search(3, 4, 2, checkpoint_path=full, progress=lambda done, total: totals.append(total), **kwargs)
+    partitions = totals[0]
+    assert partitions == len(totals) == 11
+    for jobs in (1, 2):
+        path = tmp_path / f"jobs{jobs}.json.gz"
+        assert run_search(3, 4, 2, checkpoint_path=path, jobs=jobs, **kwargs) == want
+        assert path.read_bytes() == full.read_bytes()
+        for cut in range(1, partitions):
+            path = tmp_path / f"jobs{jobs}-cut{cut}.json.gz"
+
+            def stop(done, total, cut=cut):
+                if done == cut:
+                    raise Stop
+
+            with pytest.raises(Stop):
+                run_search(3, 4, 2, checkpoint_path=path, jobs=jobs, progress=stop, **kwargs)
+            assert run_search(3, 4, 2, checkpoint_path=path, jobs=jobs, **kwargs) == want
+            assert path.read_bytes() == full.read_bytes()
 
 
 def test_run_search_parallel_matches_serial(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from toriso.lattices import GramForm, double_form
 from toriso.linalg import DimensionError, Mat, ShapeError
+from toriso import spectra, triplet
 from toriso.spectra import IsoCertificate, Verdict, certify, hecke_threshold, mu0
-from toriso import triplet
 
 
 @pytest.mark.parametrize(
@@ -37,6 +37,16 @@ def test_threshold_is_the_cutoff_not_the_table_size():
     q = double_form(triplet.gram_form(1))
     assert hecke_threshold(q) == 92
     assert len(triplet.REP_TABLE_DOUBLED) == 47
+
+
+def test_certify_computes_each_level_once(monkeypatch):
+    # each level costs a Fraction inverse; the threshold reuses the first
+    calls = []
+    level = spectra.level
+    monkeypatch.setattr(spectra, "level", lambda q: calls.append(q) or level(q))
+    cert = certify(double_form(triplet.gram_form(1)), double_form(triplet.gram_form(2)))
+    assert len(calls) == 2
+    assert cert.threshold == hecke_threshold(calls[0]) == 92
 
 
 def test_threshold_input_validation():
