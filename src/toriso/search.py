@@ -37,7 +37,7 @@ purpose, as verify_tuple's independent re-check (see that module).
 
 from __future__ import annotations
 
-import contextlib
+import collections
 import dataclasses
 import gzip
 import itertools
@@ -65,6 +65,7 @@ from .lattices import Lattice, gram
 from .spectra import IsoCertificate, Verdict, certify
 
 MAX_TOTAL_CODES = 50_000_000
+_COUNT_BLOCK = 1024  # codes per bincount in _scan_partition
 CHECKPOINT_SCHEMA = 2
 
 
@@ -227,9 +228,14 @@ def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
     for w in range(1, half + 1):
         sig += (folded == w).sum(axis=2) * radix
         radix *= n + 1
-    offsets = np.arange(m, dtype=np.int64)[:, None] * bins
-    dist = np.bincount((sig + offsets).ravel(), minlength=m * bins).reshape(m, bins)
-    dist = dist.astype(count_dtype)
+    # count block by block into the narrow table: a whole-partition int64
+    # bincount would be the scan's largest allocation
+    dist = np.empty((m, bins), dtype=count_dtype)
+    offsets = np.arange(_COUNT_BLOCK, dtype=np.int64)[:, None] * bins
+    for lo in range(0, m, _COUNT_BLOCK):
+        block = sig[lo : lo + _COUNT_BLOCK]
+        rows = len(block)
+        dist[lo : lo + rows] = np.bincount((block + offsets[:rows]).ravel(), minlength=rows * bins).reshape(rows, bins)
 
     powers = _pack_powers(q, k, n)
     packed = _pack(g, powers)
@@ -248,6 +254,19 @@ def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
 
 def _scan_partition_job(args):
     return _scan_partition(*args)
+
+
+def _pool_scans(pool, jobs, arg_list):
+    """Scan results in partition order, with at most jobs partitions
+    submitted past the one being read, so a caller that stops reading
+    leaves little work behind."""
+    queued = collections.deque()
+    for args in arg_list:
+        queued.append(pool.submit(_scan_partition_job, args))
+        if len(queued) > jobs:
+            yield queued.popleft().result()
+    while queued:
+        yield queued.popleft().result()
 
 
 def verify_tuple(codes) -> CollisionTuple:
@@ -401,9 +420,10 @@ def run_search(
         done, state = _checkpoint_load(checkpoint_path, params, {key for key, _ in partitions})
     pending = [(key, args) for key, args in partitions if key not in done]
 
+    arg_list = [a for _, a in pending]
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and pending else None
-    with pool or contextlib.nullcontext():
-        scans = (pool.map if pool else map)(_scan_partition_job, [a for _, a in pending])
+    try:
+        scans = _pool_scans(pool, jobs, arg_list) if pool else map(_scan_partition_job, arg_list)
         for (key, _), result in zip(pending, scans):
             done[key] = result
             if checkpoint_path:
@@ -411,6 +431,11 @@ def run_search(
                 _checkpoint_save(checkpoint_path, state)
             if progress:
                 progress(len(done), len(partitions))
+    finally:
+        if pool:
+            # an exception from progress or a save must not wait for the
+            # partitions nobody will read
+            pool.shutdown(cancel_futures=True)
 
     merged: dict[bytes, list] = {}
     for key, _ in partitions:

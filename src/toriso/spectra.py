@@ -14,6 +14,17 @@ scale, a doubling, and a direct sum with themselves, none of which
 changes the verdict (theta of q + q is theta(q)^2, and a square root of
 a q-series with constant term 1 is unique).
 
+The direct sum is never formed.  q + q has the value grid of q and the
+level of q (its inverse is block-diagonal), and its theta coefficients
+are the self-convolution of q's own counts,
+
+    r_{q+q}(k * step) = sum_{i + j = k} r_q(i * step) * r_q(j * step),
+
+so an odd-dimensional comparison enumerates the n-dimensional ball up to
+the cutoff of dimension 2n and squares the counts in integers; the
+certificate records the same levels, cutoff and table as the 2n-
+dimensional enumeration would.
+
 When the levels of the two forms disagree the cutoff does not apply; the
 verdict is then Inconclusive unless a bounded scan already exhibits a
 differing coefficient, which is always conclusive evidence against.
@@ -24,9 +35,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .enumeration import rep_spectrum
-from .lattices import GramForm, form_direct_sum, is_even, level
+from .lattices import GramForm, is_even, level
 from .linalg import DimensionError, ShapeError, _denominator_scale, _normalize, det
 
 
@@ -90,11 +102,22 @@ def _threshold(lev: int, dimension: int):
     return _normalize(Fraction(mu0(lev) * (dimension // 2), 6) + 2)
 
 
-def _spectra_differ(a: GramForm, b: GramForm, cap):
+def _squared_counts(spectrum) -> dict:
+    """Representation counts of q + q from those of q, on q's grid.
+
+    spectrum.entries holds the value i * step at index i, zero counts
+    included, so the direct sum's count at index k is a convolution of
+    integer lists."""
+    r = [c for _, c in spectrum.entries]
+    return {t: sum(map(mul, r[: k + 1], reversed(r[: k + 1]))) for k, (t, _) in enumerate(spectrum.entries)}
+
+
+def _spectra_differ(a: GramForm, b: GramForm, cap, squared=False):
     """Smallest value below cap where the representation counts differ,
-    plus the full merged comparison table."""
-    ta = dict(rep_spectrum(a, cap).items())
-    tb = dict(rep_spectrum(b, cap).items())
+    plus the full merged comparison table; squared compares the counts
+    of a + a and b + b instead."""
+    pair = rep_spectrum(a, cap), rep_spectrum(b, cap)
+    ta, tb = (_squared_counts(sp) if squared else dict(sp.items()) for sp in pair)
     values = sorted(set(ta) | set(tb), key=Fraction)
     table = tuple((_normalize(Fraction(t)), ta.get(t, 0), tb.get(t, 0)) for t in values)
     diffs = [t for t, ra, rb in table if ra != rb]
@@ -171,24 +194,23 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
         if first is not None:
             notes.append("raw spectra differ before the direct-sum step")
             return finish(Verdict.NOT_ISOSPECTRAL, compared=pre_cap, first=first, table=table)
-        qa = form_direct_sum(qa, qa)
-        qb = form_direct_sum(qb, qb)
+        # qa + qa is never built; _spectra_differ squares qa's counts
         summed = True
         notes.append("direct-summed each form with itself to reach even dimension")
 
     lev_a, lev_b = level(qa), level(qb)
     if lev_a != lev_b:
         notes.append(f"levels differ ({lev_a} vs {lev_b}); no shared cutoff")
-        first, table = _spectra_differ(qa, qb, fallback_scan_cap)
+        first, table = _spectra_differ(qa, qb, fallback_scan_cap, summed)
         if first is not None:
             return finish(Verdict.NOT_ISOSPECTRAL, levels=(lev_a, lev_b), compared=fallback_scan_cap, first=first, table=table)
         return finish(Verdict.INCONCLUSIVE, levels=(lev_a, lev_b), compared=fallback_scan_cap, table=table)
 
-    threshold = _threshold(lev_a, qa.dimension)  # hecke_threshold(qa), reusing its level
+    threshold = _threshold(lev_a, 2 * dim if summed else dim)  # hecke_threshold, reusing the level
     cap = Fraction(threshold) // 1
     if max_compare_t is not None:
         cap = min(cap, Fraction(max_compare_t) // 1)
-    first, table = _spectra_differ(qa, qb, cap)
+    first, table = _spectra_differ(qa, qb, cap, summed)
     if first is not None:
         return finish(Verdict.NOT_ISOSPECTRAL, levels=(lev_a, lev_b), threshold=threshold, compared=_normalize(cap), first=first, table=table)
     if cap < Fraction(threshold) // 1:

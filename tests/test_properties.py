@@ -1,0 +1,59 @@
+"""Property tests: squared theta series and certify under unimodular maps.
+
+Forms are L L^T for random lower-triangular integer L with nonzero
+diagonal, so they are integral and positive definite; entries stay small
+to keep each enumeration to milliseconds.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toriso import spectra
+from toriso.enumeration import rep_spectrum
+from toriso.lattices import GramForm, form_direct_sum
+from toriso.linalg import Mat
+from toriso.spectra import Verdict, certify
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def forms(draw, max_dim=3):
+    n = draw(st.integers(1, max_dim))
+    low = [
+        [draw(st.integers(1, 3)) if i == j else draw(st.integers(-2, 2)) if j < i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    l = Mat.from_rows(low)
+    return GramForm(l @ l.transpose())
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of signed permutations and elementary column operations."""
+    perm = draw(st.permutations(range(n)))
+    rows = [[draw(st.sampled_from((1, -1))) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    steps = draw(st.integers(0, 4)) if n > 1 else 0
+    for _ in range(steps):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        c = draw(st.integers(-2, 2))
+        for r in rows:
+            r[j] += c * r[i]
+    return Mat.from_rows(rows)
+
+
+@SETTINGS
+@given(forms(), st.integers(0, 40))
+def test_squared_spectrum_is_the_direct_sum_spectrum(q, cap):
+    squared = spectra._squared_counts(rep_spectrum(q, cap))
+    assert squared == dict(rep_spectrum(form_direct_sum(q, q), cap).items())
+
+
+@SETTINGS
+@given(st.data())
+def test_certify_is_isospectral_under_unimodular_maps(data):
+    q = data.draw(forms())
+    u = data.draw(unimodular(q.dimension))
+    cert = certify(q, GramForm(u.transpose() @ q.matrix @ u))
+    assert cert.verdict is Verdict.ISOSPECTRAL
+    assert cert.summed is (q.dimension % 2 == 1)

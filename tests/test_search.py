@@ -104,11 +104,15 @@ def test_run_search_matches_brute_force_oracle():
     "q, n, k, family, chunk, dtype",
     [
         (3, 4, 2, "all", 20, np.uint8),  # 130 codes in 11 partitions
+        # 6,561 codes in partitions of 2,500, 2,500 and 1,561, none a whole
+        # number of count blocks
+        (3, 6, 2, "systematic", 2500, np.uint8),
         # 343 codes of 343 words each: q**k > 255, so counts are uint16
         (7, 4, 3, "systematic", 100, np.uint16),
     ],
 )
 def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype):
+    assert chunk < search._COUNT_BLOCK or chunk % search._COUNT_BLOCK
     bins = (n + 1) ** (q // 2)
     seen = []
     for piv in search._patterns(n, k, family):
@@ -285,6 +289,34 @@ def test_resumed_search_is_byte_identical(tmp_path):
                 run_search(3, 4, 2, checkpoint_path=path, jobs=jobs, progress=stop, **kwargs)
             assert run_search(3, 4, 2, checkpoint_path=path, jobs=jobs, **kwargs) == want
             assert path.read_bytes() == full.read_bytes()
+
+
+def test_progress_exception_stops_a_parallel_scan(tmp_path, monkeypatch):
+    # workers are forked, so they inherit the logging wrapper
+    log = tmp_path / "scans.log"
+    scan = search._scan_partition
+
+    def logged_scan(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{args[4]}\n")
+        return scan(*args)
+
+    def stop(done, total):
+        if done == 1:
+            raise Stop
+
+    kwargs = dict(family="systematic", verify=False)
+    want_path, path = tmp_path / "full.json.gz", tmp_path / "cut.json.gz"
+    want = run_search(7, 5, 2, checkpoint_path=want_path, **kwargs)
+    monkeypatch.setattr(search, "_scan_partition", logged_scan)
+    jobs = 2
+    with pytest.raises(Stop):
+        run_search(7, 5, 2, checkpoint_path=path, jobs=jobs, progress=stop, **kwargs)
+    monkeypatch.undo()
+    scanned = log.read_text().split()
+    assert 1 < len(scanned) <= 1 + jobs  # the failing partition and at most jobs more, of 8
+    assert run_search(7, 5, 2, checkpoint_path=path, jobs=jobs, **kwargs) == want
+    assert path.read_bytes() == want_path.read_bytes()
 
 
 def test_run_search_parallel_matches_serial(tmp_path):

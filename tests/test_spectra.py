@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from toriso.lattices import GramForm, double_form
+from spectra_oracles import direct_sum_certify
+from toriso.codes import LinearCode, lift
+from toriso.formats import certificate_text
+from toriso.lattices import GramForm, double_form, gram
 from toriso.linalg import DimensionError, Mat, ShapeError
 from toriso import spectra, triplet
 from toriso.spectra import IsoCertificate, Verdict, certify, hecke_threshold, mu0
@@ -168,3 +171,96 @@ def test_certificate_is_frozen():
     assert isinstance(cert, IsoCertificate)
     with pytest.raises(Exception):
         cert.verdict = Verdict.INCONCLUSIVE
+
+
+# two lifted (5, 5, 2) codes, one image of the first under a signed
+# coordinate permutation, and a code with another weight distribution
+CODE_5 = LinearCode(5, 5, ((1, 0, 1, 2, 3), (0, 1, 2, 4, 1)))
+CODE_5_IMAGE = LinearCode(5, 5, ((1, 0, 2, 4, 4), (0, 1, 4, 3, 3)))
+CODE_5_OTHER = LinearCode(5, 5, ((1, 0, 1, 1, 3), (0, 1, 2, 4, 4)))
+
+
+def _form(rows):
+    return GramForm(Mat.from_rows(rows))
+
+
+def _conjugate(q, u_rows):
+    u = Mat.from_rows(u_rows)
+    return GramForm(u.transpose() @ q.matrix @ u)
+
+
+ODD_PAIRS = [
+    # (a, b, certify keywords, verdict, route): route names what decides,
+    # "raw" a step before any squaring (determinants or the raw n-dim
+    # counts), "squared" the counts of q + q, "levels-differ" the scan
+    # without a shared cutoff
+    pytest.param(_form([[3]]), _form([[3]]), {}, Verdict.ISOSPECTRAL, "squared", id="1-isospectral"),
+    pytest.param(_form([["1/3"]]), _form([["1/3"]]), {}, Verdict.ISOSPECTRAL, "squared", id="1-rational"),
+    pytest.param(_form([[1]]), _form([[1]]), {"max_compare_t": 2}, Verdict.INCONCLUSIVE, "squared", id="1-capped"),
+    pytest.param(_form([[2]]), _form([[3]]), {}, Verdict.NOT_ISOSPECTRAL, "raw", id="1-dets-differ"),
+    pytest.param(
+        _form([[2, -1, 0], [-1, 3, 0], [0, 0, 2]]),
+        _conjugate(_form([[2, -1, 0], [-1, 3, 0], [0, 0, 2]]), [[1, 2, 0], [0, 1, -1], [1, 2, 1]]),
+        {},
+        Verdict.ISOSPECTRAL,
+        "squared",
+        id="3-isospectral",
+    ),
+    pytest.param(
+        _form([[1, 0, 0], [0, 1, 0], [0, 0, 4]]),
+        _form([[1, 0, 0], [0, 2, 0], [0, 0, 2]]),
+        {},
+        Verdict.NOT_ISOSPECTRAL,
+        "raw",
+        id="3-raw-spectra-differ",
+    ),
+    pytest.param(
+        _form([[2, -1, 0], [-1, 3, 0], [0, 0, 2]]),
+        _form([[2, -1, -1], [-1, 4, 0], [-1, 0, 2]]),
+        {"fallback_scan_cap": 2},
+        Verdict.NOT_ISOSPECTRAL,
+        "squared",
+        id="3-squared-spectra-differ",
+    ),
+    pytest.param(
+        _form([[4, 0, 0], [0, 3, -1], [0, -1, 1]]),
+        _form([[1, 0, 1], [0, 3, 1], [1, 1, 4]]),
+        {"fallback_scan_cap": 2},
+        Verdict.INCONCLUSIVE,
+        "levels-differ",
+        id="3-levels-differ",
+    ),
+    pytest.param(gram(lift(CODE_5)), gram(lift(CODE_5_IMAGE)), {}, Verdict.ISOSPECTRAL, "squared", id="5-lifted-isospectral"),
+    pytest.param(gram(lift(CODE_5)), gram(lift(CODE_5_OTHER)), {}, Verdict.NOT_ISOSPECTRAL, "raw", id="5-lifted-raw-differ"),
+    pytest.param(
+        gram(lift(CODE_5)),
+        gram(lift(CODE_5_OTHER)),
+        {"fallback_scan_cap": 4},
+        Verdict.NOT_ISOSPECTRAL,
+        "squared",
+        id="5-lifted-squared-differ",
+    ),
+]
+
+
+@pytest.mark.parametrize("a, b, kwargs, verdict, route", ODD_PAIRS)
+def test_odd_dimension_certificate_matches_direct_sum_oracle(a, b, kwargs, verdict, route):
+    cert = certify(a, b, **kwargs)
+    assert cert.verdict is verdict
+    assert cert.summed is (route != "raw")
+    assert (cert.levels is not None and cert.levels[0] != cert.levels[1]) is (route == "levels-differ")
+    assert certificate_text(cert) == certificate_text(direct_sum_certify(a, b, **kwargs))
+
+
+def test_odd_certify_stays_in_the_input_dimension(monkeypatch):
+    # q + q is never formed: every enumeration and level is n-dimensional
+    dims = []
+    for name in ("rep_spectrum", "level"):
+        real = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda q, *rest, real=real: dims.append(q.dimension) or real(q, *rest))
+    for a, b in [(CODE_5, CODE_5_IMAGE), (triplet.code(1), triplet.code(2))]:
+        dims.clear()
+        cert = certify(gram(lift(a)), gram(lift(b)))
+        assert cert.verdict is Verdict.ISOSPECTRAL
+        assert dims and set(dims) == {a.length}
+    assert cert.threshold == triplet.DOUBLED_THRESHOLD and not cert.summed
