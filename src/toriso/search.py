@@ -2,8 +2,9 @@
 monomially inequivalent codes sharing one folded weight distribution.
 
 The scan is exact end to end.  Codes are generated per reduced-echelon
-pivot pattern, their full codeword tables computed in vectorized batches,
-and each code's distribution of folded-value counts, read as one opaque
+pivot pattern, all their codewords computed in vectorized batches (one
+coordinate at a time, each weighed through one lookup table), and each
+code's distribution of folded-value counts, read as one opaque
 byte row, becomes an exact bucket key (two codes land in one bucket if
 and only if their weight distributions are equal, so bucketing loses
 nothing and a second comparison stage is unnecessary).  Buckets are then
@@ -13,6 +14,15 @@ canonical form, and intersected with the bucket, which removes that
 class exactly.  Buckets with at least min_tuple classes survive as
 collision tuples and are re-verified through the scalar code path and
 the lattice correspondence before being reported.
+
+An orbit costs n! row reductions, not n! * 2**n.  Let R = RREF(G P) for
+a column permutation P, with pivot column p(i) in row i, and let D be a
+diagonal matrix of signs s_j = +-1.  R D is still in echelon form with
+the same pivots; only the pivot entry s_p(i) of each row needs scaling
+back to 1, and s^-1 = s because (q - 1)**2 = 1 mod q.  So
+RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod q, one broadcast over all
+sign patterns, and the orbit is exactly the one the 2**n-fold expansion
+gives.
 
 Codes are tracked as packed base-q integers of their canonical generator
 rows; the orbit minimum of those ids is the canonical monomial form, so
@@ -65,6 +75,7 @@ from .lattices import Lattice, gram
 from .spectra import IsoCertificate, Verdict, certify
 
 MAX_TOTAL_CODES = 50_000_000
+MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition may allocate
 _COUNT_BLOCK = 1024  # codes per bincount in _scan_partition
 CHECKPOINT_SCHEMA = 2
 
@@ -130,12 +141,11 @@ def _free_positions(n: int, k: int, pivots) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=8)
 def _monomial_tables(q: int, n: int):
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    sign_choices = (1,) if q == 2 else (1, q - 1)
-    signs = np.array(list(itertools.product(sign_choices, repeat=n)), dtype=np.int16)
-    perm_idx = np.repeat(perms, len(signs), axis=0)
-    sign_val = np.tile(signs, (len(perms), 1))
-    return perm_idx, sign_val
+    """Column permutations and column sign patterns (+1/-1) of the
+    signed permutation group; over GF(2) the only sign is 1."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    signs = np.array(list(itertools.product((1,) if q == 2 else (1, -1), repeat=n)), dtype=np.int16)
+    return perms, signs
 
 
 def _batch_rref(mats: np.ndarray, q: int) -> np.ndarray:
@@ -189,14 +199,19 @@ def _unpack(code_id: int, q: int, k: int, n: int) -> tuple[tuple[int, ...], ...]
 
 
 def _orbit_ids(rows, q: int, n: int, powers: np.ndarray) -> np.ndarray:
-    """Sorted unique packed canonical ids of all monomial images."""
-    k = len(rows)
+    """Sorted unique packed canonical ids of all monomial images.
+
+    Only the n! column permutations are row-reduced; each sign pattern
+    D is applied to the reduced form R in closed form (module
+    docstring): RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod q, p(i)
+    being the pivot column of row i."""
     g = np.array(rows, dtype=np.int16)
-    perm_idx, sign_val = _monomial_tables(q, n)
-    imgs = g[:, perm_idx]  # (k, maps, n)
-    imgs = np.transpose(imgs, (1, 0, 2)) * sign_val[:, None, :]
-    canon = _batch_rref(imgs, q)
-    return np.unique(_pack(canon, powers))
+    perms, signs = _monomial_tables(q, n)
+    reduced = _batch_rref(np.transpose(g[:, perms], (1, 0, 2)), q)  # (perms, k, n)
+    pivots = np.argmax(reduced != 0, axis=2)  # column 0 on zero rows, which stay zero
+    row_signs = signs[:, pivots]  # (signs, perms, k)
+    canon = (row_signs[..., None] * signs[:, None, None, :] * reduced) % q
+    return np.unique(_pack(canon.reshape(-1, g.size), powers))
 
 
 def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
@@ -220,14 +235,19 @@ def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
         g[:, fi, fj] = digits[:, idx]
 
     coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int16)
-    fold = np.minimum(np.arange(q), q - np.arange(q)).astype(np.int16)
-    folded = fold[np.matmul(coeffs, g) % q]  # the raw table is not kept: less peak memory
-    half = q // 2
-    sig = np.zeros(folded.shape[:2], dtype=np.int64)
-    radix = 1
-    for w in range(1, half + 1):
-        sig += (folded == w).sum(axis=2) * radix
-        radix *= n + 1
+    # a word's key is sig = sum over folded values w > 0 of (count of w) *
+    # (n + 1)**(w - 1) < bins.  lut maps each raw coordinate 0..k * (q - 1)**2
+    # of a word straight to its term, and the words are built one coordinate
+    # at a time, so no (codes, words, n) table exists
+    fold = np.minimum(np.arange(q), q - np.arange(q))
+    term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0)
+    lut = term[np.arange(k * (q - 1) ** 2 + 1) % q].astype(np.min_scalar_type(bins))
+    sig = np.zeros((m, len(coeffs)), dtype=lut.dtype)
+    for j in range(n):
+        coord = g[:, 0, j, None] * coeffs[:, 0]
+        for i in range(1, k):
+            coord += g[:, i, j, None] * coeffs[:, i]
+        sig += lut[coord]
     # count block by block into the narrow table: a whole-partition int64
     # bincount would be the scan's largest allocation
     dist = np.empty((m, bins), dtype=count_dtype)
@@ -393,10 +413,13 @@ def run_search(
     distributes partitions over processes; results are merged in
     partition order either way, so the outcome does not depend on jobs.
     """
-    if not _is_prime(q):
-        raise CodeError("search requires a prime modulus")
     if not 0 < k <= n:
         raise CodeError("dimension k must lie in 1..n")
+    if k * (q - 1) ** 2 >= 2**15:
+        # the scan's int16 word coordinates reach k * (q - 1)**2 before reduction
+        raise CodeError(f"k * (q - 1)**2 = {k * (q - 1) ** 2} overflows the scan's 16-bit words")
+    if not _is_prime(q):
+        raise CodeError("search requires a prime modulus")
     if min_tuple < 2:
         raise CodeError("min_tuple must be at least 2")
     patterns = _patterns(n, k, family)
@@ -406,6 +429,13 @@ def run_search(
 
     bins = (n + 1) ** (q // 2)
     count_dtype = np.uint8 if q**k <= 255 else np.uint16
+    # a partition holds one count row of bins entries and one int16 word
+    # coordinate per (code, codeword)
+    rows = min(chunk_size, max(totals))
+    table = rows * max(bins * np.dtype(count_dtype).itemsize, q**k * 2)
+    if table > MAX_PARTITION_BYTES:
+        raise CodeError(f"one scan partition needs a {table}-byte table, above the {MAX_PARTITION_BYTES} guard")
+    powers = _pack_powers(q, k, n)
     params = {"q": q, "n": n, "k": k, "family": family, "chunk": chunk_size}
 
     partitions = []
@@ -443,7 +473,6 @@ def run_search(
             merged.setdefault(kb, []).append(ids)
     buckets = {kb: np.sort(np.concatenate(parts)) for kb, parts in merged.items()}
 
-    powers = _pack_powers(q, k, n)
     collisions = []
     for kb in sorted(buckets):
         ids = buckets[kb]

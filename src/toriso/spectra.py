@@ -23,7 +23,9 @@ are the self-convolution of q's own counts,
 so an odd-dimensional comparison enumerates the n-dimensional ball up to
 the cutoff of dimension 2n and squares the counts in integers; the
 certificate records the same levels, cutoff and table as the 2n-
-dimensional enumeration would.
+dimensional enumeration would.  Each form is enumerated once, up to the
+larger of that cutoff and the raw pre-scan's bound, and the pre-scan
+reads its prefix.
 
 When the levels of the two forms disagree the cutoff does not apply; the
 verdict is then Inconclusive unless a bounded scan already exhibits a
@@ -102,22 +104,23 @@ def _threshold(lev: int, dimension: int):
     return _normalize(Fraction(mu0(lev) * (dimension // 2), 6) + 2)
 
 
-def _squared_counts(spectrum) -> dict:
+def _squared_counts(entries) -> dict:
     """Representation counts of q + q from those of q, on q's grid.
 
-    spectrum.entries holds the value i * step at index i, zero counts
-    included, so the direct sum's count at index k is a convolution of
-    integer lists."""
-    r = [c for _, c in spectrum.entries]
-    return {t: sum(map(mul, r[: k + 1], reversed(r[: k + 1]))) for k, (t, _) in enumerate(spectrum.entries)}
+    entries are (value, count) pairs holding the value i * step at index
+    i, zero counts included, so the direct sum's count at index k is a
+    convolution of integer lists."""
+    r = [c for _, c in entries]
+    return {t: sum(map(mul, r[: k + 1], reversed(r[: k + 1]))) for k, (t, _) in enumerate(entries)}
 
 
-def _spectra_differ(a: GramForm, b: GramForm, cap, squared=False):
-    """Smallest value below cap where the representation counts differ,
-    plus the full merged comparison table; squared compares the counts
-    of a + a and b + b instead."""
-    pair = rep_spectrum(a, cap), rep_spectrum(b, cap)
-    ta, tb = (_squared_counts(sp) if squared else dict(sp.items()) for sp in pair)
+def _spectra_differ(pair, cap, squared=False):
+    """Smallest value up to cap where the representation counts of the
+    two spectra differ, plus the full merged comparison table; squared
+    compares the counts of a + a and b + b instead.  Both spectra must
+    reach cap; larger values are left out."""
+    ta, tb = ([(t, c) for t, c in sp.entries if t <= cap] for sp in pair)
+    ta, tb = (_squared_counts(e) if squared else dict(e) for e in (ta, tb))
     values = sorted(set(ta) | set(tb), key=Fraction)
     table = tuple((_normalize(Fraction(t)), ta.get(t, 0), tb.get(t, 0)) for t in values)
     diffs = [t for t, ra, rb in table if ra != rb]
@@ -188,9 +191,24 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
         doubled = True
         notes.append("doubled both forms to reach even entries")
 
+    # no certificate of the raw pre-scan carries the levels, so they can
+    # come first and fix the one enumeration bound each form needs
+    lev_a, lev_b = level(qa), level(qb)
+    threshold = None
+    cap = fallback_scan_cap
+    if lev_a == lev_b:
+        threshold = _threshold(lev_a, 2 * dim if dim % 2 else dim)  # hecke_threshold, reusing the level
+        cap = Fraction(threshold) // 1
+        if max_compare_t is not None:
+            cap = min(cap, Fraction(max_compare_t) // 1)
+    if cap < 0:
+        raise ValueError("comparison bound must be nonnegative")
+    pre_cap = fallback_scan_cap if dim % 2 else cap
+    # each form is enumerated once; the raw pre-scan reads a prefix
+    pair = rep_spectrum(qa, max(cap, pre_cap)), rep_spectrum(qb, max(cap, pre_cap))
+
     if dim % 2 != 0:
-        pre_cap = fallback_scan_cap
-        first, table = _spectra_differ(qa, qb, pre_cap)
+        first, table = _spectra_differ(pair, pre_cap)
         if first is not None:
             notes.append("raw spectra differ before the direct-sum step")
             return finish(Verdict.NOT_ISOSPECTRAL, compared=pre_cap, first=first, table=table)
@@ -198,19 +216,14 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
         summed = True
         notes.append("direct-summed each form with itself to reach even dimension")
 
-    lev_a, lev_b = level(qa), level(qb)
     if lev_a != lev_b:
         notes.append(f"levels differ ({lev_a} vs {lev_b}); no shared cutoff")
-        first, table = _spectra_differ(qa, qb, fallback_scan_cap, summed)
+        first, table = _spectra_differ(pair, cap, summed)
         if first is not None:
-            return finish(Verdict.NOT_ISOSPECTRAL, levels=(lev_a, lev_b), compared=fallback_scan_cap, first=first, table=table)
-        return finish(Verdict.INCONCLUSIVE, levels=(lev_a, lev_b), compared=fallback_scan_cap, table=table)
+            return finish(Verdict.NOT_ISOSPECTRAL, levels=(lev_a, lev_b), compared=cap, first=first, table=table)
+        return finish(Verdict.INCONCLUSIVE, levels=(lev_a, lev_b), compared=cap, table=table)
 
-    threshold = _threshold(lev_a, 2 * dim if summed else dim)  # hecke_threshold, reusing the level
-    cap = Fraction(threshold) // 1
-    if max_compare_t is not None:
-        cap = min(cap, Fraction(max_compare_t) // 1)
-    first, table = _spectra_differ(qa, qb, cap, summed)
+    first, table = _spectra_differ(pair, cap, summed)
     if first is not None:
         return finish(Verdict.NOT_ISOSPECTRAL, levels=(lev_a, lev_b), threshold=threshold, compared=_normalize(cap), first=first, table=table)
     if cap < Fraction(threshold) // 1:

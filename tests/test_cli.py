@@ -190,6 +190,23 @@ def test_codesearch_cap_exceeded(tmp_path, capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize(
+    "q, n, k, problem",
+    [
+        # 83,521 systematic codes pass the code guard, but (n + 1)**(q // 2) =
+        # 1,679,616 count bins per code would be a 26 GB table per partition
+        ("17", "5", "1", "-byte table, above the"),
+        # k * (q - 1)**2 = 36,100 would wrap the int16 word coordinates
+        ("191", "2", "1", "16-bit words"),
+    ],
+)
+def test_codesearch_rejects_oversized_tables(tmp_path, capsys, q, n, k, problem):
+    code, _, err = run(capsys, "codesearch", "--q", q, "--n", n, "--k", k, "--family", "systematic", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert err.startswith("error:") and problem in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_paper_triplet_passes(capsys):
     code, out, _ = run(capsys, "paper-triplet")
     assert code == 0

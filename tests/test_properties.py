@@ -1,17 +1,22 @@
-"""Property tests: squared theta series and certify under unimodular maps.
+"""Property tests: squared theta series, certify under unimodular maps,
+and the monomial orbit of a code.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
-to keep each enumeration to milliseconds.
+to keep each enumeration to milliseconds.  Codes have length at most 4,
+so a scalar orbit holds at most 4! * 2**4 images.
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toriso import spectra
+from toriso.codes import LinearCode, canonical_monomial_form
 from toriso.enumeration import rep_spectrum
 from toriso.lattices import GramForm, form_direct_sum
 from toriso.linalg import Mat
+from toriso.search import _orbit_ids, _pack, _pack_powers
 from toriso.spectra import Verdict, certify
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -45,7 +50,7 @@ def unimodular(draw, n):
 @SETTINGS
 @given(forms(), st.integers(0, 40))
 def test_squared_spectrum_is_the_direct_sum_spectrum(q, cap):
-    squared = spectra._squared_counts(rep_spectrum(q, cap))
+    squared = spectra._squared_counts(rep_spectrum(q, cap).entries)
     assert squared == dict(rep_spectrum(form_direct_sum(q, q), cap).items())
 
 
@@ -57,3 +62,29 @@ def test_certify_is_isospectral_under_unimodular_maps(data):
     cert = certify(q, GramForm(u.transpose() @ q.matrix @ u))
     assert cert.verdict is Verdict.ISOSPECTRAL
     assert cert.summed is (q.dimension % 2 == 1)
+
+
+@st.composite
+def codes(draw):
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=k, max_size=k))
+    code = LinearCode(q, n, tuple(map(tuple, rows)))
+    assume(code.rows)
+    return code
+
+
+@SETTINGS
+@given(st.data())
+def test_canonical_monomial_form_is_the_numpy_orbit_minimum(data):
+    code = data.draw(codes())
+    q, n, k = code.modulus, code.length, len(code.rows)
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from((1, q - 1)), min_size=n, max_size=n))
+    image = LinearCode(q, n, tuple(tuple(signs[j] * row[perm[j]] % q for j in range(n)) for row in code.rows))
+    canon = canonical_monomial_form(code)
+    assert canonical_monomial_form(image) == canon
+    # verify_tuple's scalar re-check and the scan's numpy orbit agree
+    powers = _pack_powers(q, k, n)
+    assert _pack(np.array([canon.rows]), powers)[0] == _orbit_ids(image.rows, q, n, powers)[0]

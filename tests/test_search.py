@@ -58,15 +58,37 @@ def test_pack_guard_rejects_oversized_space():
         _pack_powers(5, 4, 7)
 
 
+def _orbit_representatives(q, n, k, rng):
+    """Rank-k codes of length n >= 4: a random one, one with a zero first
+    column (so no systematic pivots), and one whose columns 1 and 2 agree
+    up to sign (a non-trivial stabilizer); for k = n only the first
+    exists."""
+    shapes = {
+        "random": lambda g: g,
+        "zero-column": lambda g: np.concatenate([0 * g[:, :1], g[:, 1:]], axis=1),
+        "repeated-columns": lambda g: np.concatenate([g[:, :2], (q - 1) * g[:, 1:2], g[:, 3:]], axis=1),
+    }
+    reps = {}
+    for name, shape in shapes.items():
+        for _ in range(50):
+            code = LinearCode(q, n, tuple(map(tuple, shape(rng.integers(0, q, size=(k, n))).tolist())))
+            if len(code.rows) == k:
+                reps[name] = code
+                break
+    return reps
+
+
 def test_orbit_ids_match_scalar_orbit():
-    code = LinearCode(3, 3, ((1, 2, 0),))
-    powers = _pack_powers(3, 1, 3)
-    got = _orbit_ids(code.rows, 3, 3, powers)
-    want = set()
-    for img in monomial_images(code):
-        want.add(int(_pack(np.array([img.rows], dtype=np.int16), powers)[0]))
-    assert set(int(x) for x in got) == want
-    assert got[0] == min(want)  # sorted output, minimum first
+    n = 4
+    for q in (2, 3, 5, 7):
+        for k in range(1, n + 1):
+            powers = _pack_powers(q, k, n)
+            reps = _orbit_representatives(q, n, k, np.random.default_rng(10 * q + k))
+            assert len(reps) == (1 if k == n else 3)
+            assert k == n or reps["zero-column"].rows[0][0] == 0  # a non-systematic pivot pattern
+            for code in reps.values():
+                want = sorted({int(_pack(np.array([img.rows]), powers)[0]) for img in monomial_images(code)})
+                assert _orbit_ids(code.rows, q, n, powers).tolist() == want, (q, k, code.rows)  # sorted, minimum first
 
 
 def test_collide_codes_positive_control():
@@ -101,22 +123,28 @@ def test_run_search_matches_brute_force_oracle():
 
 
 @pytest.mark.parametrize(
-    "q, n, k, family, chunk, dtype",
+    "q, n, k, family, chunk, dtype, limit",
     [
-        (3, 4, 2, "all", 20, np.uint8),  # 130 codes in 11 partitions
+        # 130 codes in 11 partitions
+        pytest.param(3, 4, 2, "all", 20, np.uint8, None, id="3-4-2-all-20-uint8"),
         # 6,561 codes in partitions of 2,500, 2,500 and 1,561, none a whole
         # number of count blocks
-        (3, 6, 2, "systematic", 2500, np.uint8),
+        pytest.param(3, 6, 2, "systematic", 2500, np.uint8, None, id="3-6-2-systematic-2500-uint8"),
         # 343 codes of 343 words each: q**k > 255, so counts are uint16
-        (7, 4, 3, "systematic", 100, np.uint16),
+        pytest.param(7, 4, 3, "systematic", 100, np.uint16, None, id="7-4-3-systematic-100-uint16"),
+        # GF(2): one folded value, bins = n + 1, word coordinates 0..k
+        pytest.param(2, 6, 3, "all", 100, np.uint8, None, id="2-6-3-all-100-uint8"),
+        # word coordinates 0..48 over 36 bins; the first 3,000 of 15,625
+        # codes, since the scalar oracle takes about 1 ms a code
+        pytest.param(5, 5, 3, "systematic", 1100, np.uint8, 3000, id="5-5-3-systematic-1100-uint8-first3000"),
     ],
 )
-def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype):
+def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, limit):
     assert chunk < search._COUNT_BLOCK or chunk % search._COUNT_BLOCK
     bins = (n + 1) ** (q // 2)
     seen = []
     for piv in search._patterns(n, k, family):
-        total = q ** len(search._free_positions(n, k, piv))
+        total = min(q ** len(search._free_positions(n, k, piv)), limit or np.inf)
         for start in range(0, total, chunk):
             got = search._scan_partition(q, n, k, piv, start, min(start + chunk, total), bins, dtype)
             ids = np.concatenate(list(got.values()))
@@ -130,7 +158,7 @@ def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype):
         want_ids = [int(_pack(np.array([c.rows]), powers)[0]) for c in all_codes(q, n, k)]
         assert sorted(seen) == sorted(want_ids)
     else:
-        assert len(set(seen)) == len(seen) == q ** (k * (n - k))
+        assert len(set(seen)) == len(seen) == min(q ** (k * (n - k)), limit or np.inf)
 
 
 def test_verify_tuple_accepts_bundled_triple():

@@ -253,14 +253,15 @@ def test_odd_dimension_certificate_matches_direct_sum_oracle(a, b, kwargs, verdi
 
 
 def test_odd_certify_stays_in_the_input_dimension(monkeypatch):
-    # q + q is never formed: every enumeration and level is n-dimensional
-    dims = []
+    # q + q is never formed: every enumeration and level is n-dimensional,
+    # and each form is enumerated once, the raw pre-scan reading a prefix
+    calls = []
     for name in ("rep_spectrum", "level"):
         real = getattr(spectra, name)
-        monkeypatch.setattr(spectra, name, lambda q, *rest, real=real: dims.append(q.dimension) or real(q, *rest))
+        monkeypatch.setattr(spectra, name, lambda q, *rest, real=real, name=name: calls.append((name, q.dimension)) or real(q, *rest))
     for a, b in [(CODE_5, CODE_5_IMAGE), (triplet.code(1), triplet.code(2))]:
-        dims.clear()
+        calls.clear()
         cert = certify(gram(lift(a)), gram(lift(b)))
         assert cert.verdict is Verdict.ISOSPECTRAL
-        assert dims and set(dims) == {a.length}
+        assert sorted(calls) == [("level", a.length)] * 2 + [("rep_spectrum", a.length)] * 2
     assert cert.threshold == triplet.DOUBLED_THRESHOLD and not cert.summed
