@@ -77,7 +77,6 @@ from .linalg import (
     NotPositiveDefiniteError,
     RankError,
     ShapeError,
-    char_poly,
     det,
     eigenvalue_lower_bound,
     hnf,
@@ -126,7 +125,6 @@ __all__ = [
     "VectorList",
     "canonical_monomial_form",
     "certify",
-    "char_poly",
     "choir_family",
     "decompose",
     "decompose_form",

@@ -226,17 +226,16 @@ class _SpanTracker:
         return len(self._rows)
 
 
-def _ambient_candidates(l: Lattice, bound_floor: int | None = None):
+def _ambient_candidates(l: Lattice, pick: Callable):
     """Enumerate lattice vectors in ambient coordinates, working in an
-    LLL-reduced basis.  The bound is the max diagonal of the reduced Gram
-    matrix, which is enough to contain a full-rank vector set."""
+    LLL-reduced basis, up to the bound pick(diagonal of the reduced Gram
+    matrix): min reaches every minimal vector, since each reduced basis
+    vector is a lattice vector; max reaches a full-rank vector set."""
     from .linalg import lll_reduce
 
     reduced = lll_reduce(l.basis)
     q = GramForm(reduced.transpose() @ reduced)
-    bound = max(q.matrix.at(i, i) for i in range(q.dimension))
-    if bound_floor is not None and bound < bound_floor:
-        bound = Fraction(bound_floor)
+    bound = pick(q.matrix.at(i, i) for i in range(q.dimension))
     coords = enumerate_up_to(q, bound)
     out = [(_to_ambient(reduced, c), norm) for c, norm in coords]
     out.sort(key=lambda item: (item[1], _lead_index(item[0]), item[0]))
@@ -261,7 +260,7 @@ def shortest_vectors(l: Lattice) -> VectorList:
     antipodal pair."""
     if l.dimension == 0:
         raise LatticeError("empty lattice has no nonzero vectors")
-    cands = _ambient_candidates(l)
+    cands = _ambient_candidates(l, min)
     m = cands[0][1]
     vecs = tuple(v for v, norm in cands if norm == m)
     return VectorList(norm=m, vectors=vecs)
@@ -281,7 +280,7 @@ def independent_ladder(l: Lattice, count: int) -> tuple[VectorList, ...]:
         raise LatticeError("empty lattice has no ladder")
     if not 1 <= count <= l.dimension:
         raise LatticeError(f"count must be in 1..{l.dimension}")
-    cands = _ambient_candidates(l)
+    cands = _ambient_candidates(l, max)
     span = _SpanTracker()
     stages: list[VectorList] = []
     for _ in range(count):

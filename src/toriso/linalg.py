@@ -6,8 +6,10 @@ Rational input is cleared to integers by one common denominator
 (_denominator_scale), after which determinants, positive definiteness
 and the exact LDL^T factors all come from one fraction-free Bareiss
 elimination (Bareiss, Math. Comp. 22 (1968) 565-578).  Lattice bases come
-from a column-style Hermite normal form, and certified eigenvalue bounds
-from Sturm sign counts on the characteristic polynomial.
+from a column-style Hermite normal form.  A certified eigenvalue lower
+bound L is one more positive-definiteness test: lambda_min(q) > L exactly
+when q - L*I is positive definite, which Sylvester's criterion decides on
+the same Bareiss elimination.
 """
 
 from __future__ import annotations
@@ -355,6 +357,10 @@ def lll_reduce(basis: Mat, delta: Fraction = Fraction(3, 4)) -> Mat:
 
     delta is the Lovasz parameter and must satisfy 1/4 < delta < 1.  The
     returned matrix spans the same lattice and |det| is unchanged.
+    Gram-Schmidt runs once; each size reduction and swap then updates the
+    coefficients mu and the squared norms B in place (Cohen, GTM 138,
+    Alg. 2.6.3), so the reductions and swaps, and the basis returned, are
+    the same as when Gram-Schmidt is recomputed after every step.
     """
     delta = _rat(delta)
     if not (Fraction(1, 4) < delta < 1):
@@ -367,125 +373,87 @@ def lll_reduce(basis: Mat, delta: Fraction = Fraction(3, 4)) -> Mat:
     def dot(u, v):
         return sum((x * y for x, y in zip(u, v)), Fraction(0))
 
-    def gram_schmidt():
-        star: list[list[Fraction]] = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms: list[Fraction] = []
-        for i in range(n):
-            v = list(b[i])
-            for j in range(i):
-                if norms[j] == 0:
-                    raise RankError("basis is rank-deficient")
-                mu[i][j] = dot(b[i], star[j]) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-            norms.append(dot(v, v))
-            if norms[i] == 0:
-                raise RankError("basis is rank-deficient")
-        return mu, norms
+    star: list[list[Fraction]] = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms: list[Fraction] = []
+    for i in range(n):
+        v = b[i]
+        for j in range(i):
+            mu[i][j] = dot(b[i], star[j]) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms.append(dot(v, v))
+        if norms[i] == 0:
+            raise RankError("basis is rank-deficient")
 
-    mu, norms = gram_schmidt()
     k = 1
     while k < n:
+        muk = mu[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                t = round(mu[k][j])
+            if abs(muk[j]) > Fraction(1, 2):
+                # b_k -= t * b_j leaves every b*_i alone
+                t = round(muk[j])
                 b[k] = [x - t * y for x, y in zip(b[k], b[j])]
-                mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+                muj = mu[j]
+                for i in range(j):
+                    muk[i] -= t * muj[i]
+                muk[j] -= t
+        m = muk[k - 1]
+        if norms[k] >= (delta - m * m) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gram_schmidt()
+            # rows k and k-1 trade their first k-1 coefficients; only the
+            # pair's own entry, B_k, B_{k-1} and column k, k-1 below change
+            mu[k], mu[k - 1] = mu[k - 1], mu[k]
+            swapped = norms[k] + m * m * norms[k - 1]  # the new B_{k-1}
+            mu[k][k - 1] = m * norms[k - 1] / swapped
+            norms[k] = norms[k - 1] * norms[k] / swapped
+            norms[k - 1] = swapped
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
     return Mat.from_columns(b)
-
-
-def char_poly(m: Mat) -> tuple[Fraction, ...]:
-    """Characteristic polynomial det(xI - m), coefficients leading-first.
-
-    Faddeev-LeVerrier recursion; the only divisions are by 1..n and exact.
-    """
-    if not m.is_square:
-        raise DimensionError("char_poly of non-square matrix")
-    n = m.rows
-    coeffs = [Fraction(1)]
-    mk = Mat.identity(n)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        trace = sum((mk.at(i, i) for i in range(n)), Fraction(0))
-        ck = -trace / k
-        coeffs.append(ck)
-        if k < n:
-            mk = mk + Mat.identity(n).scaled(ck)
-    return tuple(coeffs)
-
-
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _poly_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = list(num)
-    while len(num) >= len(den) and any(num):
-        if num[0] == 0:
-            num.pop(0)
-            continue
-        f = num[0] / den[0]
-        for i in range(len(den)):
-            num[i] -= f * den[i]
-        num.pop(0)
-    while num and num[0] == 0:
-        num.pop(0)
-    return num
-
-
-def sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    p0 = [Fraction(c) for c in coeffs]
-    n = len(p0) - 1
-    p1 = [c * (n - i) for i, c in enumerate(p0[:-1])]
-    chain = [p0, p1]
-    while any(chain[-1]):
-        r = _poly_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(v > 0)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def eigenvalue_lower_bound(q: Mat, eps: Fraction) -> Fraction:
     """Certified rational lower bound for the smallest eigenvalue.
 
     Returns L with 0 < L <= lambda_min(q) and lambda_min(q) - L <= eps.
-    The certificate is a Sturm sign count showing char_poly has no root in
-    (0, L]; bisection starts from the smallest diagonal entry, which is an
-    upper bound for lambda_min by the Rayleigh quotient of a unit vector.
+    Bisection starts from the smallest diagonal entry, which is an upper
+    bound for lambda_min by the Rayleigh quotient of a unit vector, and
+    keeps a midpoint as the lower end exactly when q - mid*I is positive
+    definite.  The certificate for L is Sylvester's criterion: every
+    leading principal minor of s*(q - L*I) is positive, checked by the
+    same Bareiss elimination (fraction_free_upper) that gates every form.
     """
     eps = _rat(eps)
     if eps <= 0:
         raise LinalgError("eps must be positive")
     _positive_definite_data(q)  # raises unless q is positive definite
-    p = char_poly(q)
-    chain = sturm_chain(p)
+    sq, s = _integer_rows(q)
+
+    def below_spectrum(mid: Fraction) -> bool:
+        # lambda_min(q) > mid; with mid = a/b the integer rows of
+        # b*s*(q - mid*I) are b*(s*q) - a*s*I
+        a, b = mid.numerator, mid.denominator
+        rows = [[b * x for x in row] for row in sq]
+        for i in range(len(rows)):
+            rows[i][i] -= a * s
+        try:
+            fraction_free_upper(rows)
+        except NotPositiveDefiniteError:
+            return False
+        return True
+
     lo = Fraction(0)
     hi = min(q.at(i, i) for i in range(q.rows))
-    v0 = _sign_variations(chain, lo)
     while lo == 0 or hi - lo > eps:
         mid = (lo + hi) / 2
-        if poly_eval(p, mid) == 0 or v0 - _sign_variations(chain, mid) > 0:
-            hi = mid
-        else:
+        if below_spectrum(mid):
             lo = mid
+        else:
+            hi = mid
     return lo

@@ -422,6 +422,12 @@ def run_search(
         raise CodeError("search requires a prime modulus")
     if min_tuple < 2:
         raise CodeError("min_tuple must be at least 2")
+    # the systematic family holds exactly q**(k*(n-k)) codes and "all" at
+    # least as many; bound that before any pattern is built, in logarithms
+    # so no huge integer is formed (the exact count is checked below)
+    if k * (n - k) * log2(q) > log2(MAX_TOTAL_CODES):
+        raise CodeError(f"family holds at least {q}**{k * (n - k)} codes, above the {MAX_TOTAL_CODES} guard")
+    powers = _pack_powers(q, k, n)  # bounds k * n before the patterns are listed
     patterns = _patterns(n, k, family)
     totals = [q ** len(_free_positions(n, k, piv)) for piv in patterns]
     if sum(totals) > MAX_TOTAL_CODES:
@@ -435,7 +441,6 @@ def run_search(
     table = rows * max(bins * np.dtype(count_dtype).itemsize, q**k * 2)
     if table > MAX_PARTITION_BYTES:
         raise CodeError(f"one scan partition needs a {table}-byte table, above the {MAX_PARTITION_BYTES} guard")
-    powers = _pack_powers(q, k, n)
     params = {"q": q, "n": n, "k": k, "family": family, "chunk": chunk_size}
 
     partitions = []

@@ -1,8 +1,9 @@
 """Shared pytest plumbing: per-criterion result lines.
 
 Acceptance tests carry a ``criterion(num, name)`` marker; after the run
-the terminal summary prints one PASS/FAIL line per criterion so the
-verdict of the whole gate is readable at a glance.
+the terminal summary prints one PASS/FAIL line per criterion, with the
+duration of its test call, so the verdict of the whole gate and where the
+suite's time goes are readable at a glance.
 """
 
 import pytest
@@ -30,7 +31,7 @@ def pytest_runtest_makereport(item, call):
         status = {"passed": "PASS", "failed": "FAIL", "skipped": "SKIP"}.get(
             report.outcome, report.outcome.upper()
         )
-        _LINES[num] = f"criterion {num} ({name}): {status}"
+        _LINES[num] = f"criterion {num} ({name}): {status} in {report.duration:.1f} s"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -207,6 +207,26 @@ def test_codesearch_rejects_oversized_tables(tmp_path, capsys, q, n, k, problem)
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "n, k, problem",
+    [
+        # k * (n - k) = 4,000,000 free positions: 2**4000000 systematic codes
+        ("4000", "2000", "guard"),
+        # one code, but k * n = 32767**2 digits cannot be packed into an id
+        ("32767", "32767", "64-bit pack"),
+    ],
+)
+def test_codesearch_rejects_huge_spaces_before_building_them(tmp_path, n, k, problem):
+    # run in a subprocess so that a regression shows as a timeout, not a hang
+    src = str(Path(toriso.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = ["codesearch", "--q", "2", "--n", n, "--k", k, "--family", "systematic", "--out", str(tmp_path / "x")]
+    done = subprocess.run([sys.executable, "-m", "toriso.cli", *args], env=env, capture_output=True, text=True, timeout=15)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and problem in done.stderr
+    assert not (tmp_path / "x").exists()
+
+
 def test_paper_triplet_passes(capsys):
     code, out, _ = run(capsys, "paper-triplet")
     assert code == 0

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from linalg_oracles import char_poly, count_roots_in, poly_eval, recompute_lll, sturm_lower_bound
+from toriso import triplet
+from toriso.lattices import choir_family, dual, gram
 from toriso.linalg import (
     DimensionError,
     Mat,
     NotPositiveDefiniteError,
     RankError,
     ShapeError,
-    _sign_variations,
-    char_poly,
     det,
     eigenvalue_lower_bound,
     fraction_free_upper,
@@ -18,16 +19,8 @@ from toriso.linalg import (
     lattices_equal,
     ldl,
     lll_reduce,
-    poly_eval,
-    sturm_chain,
 )
 from toriso.triplet import Q1_ROWS
-
-
-def count_roots_in(coeffs, a, b):
-    # number of distinct real roots in the half-open interval (a, b]
-    chain = sturm_chain(coeffs)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
 def fraction_ldl(q):
@@ -299,6 +292,51 @@ def test_eigenvalue_lower_bound_q1():
     assert Fraction(263, 400) < lb
     assert Fraction(704, 1000) < lb <= Fraction(706, 1000)
     assert count_roots_in(char_poly(q1), Fraction(0), lb) == 0
+
+
+def random_rational_matrix(rng, n, lo=-9, hi=9):
+    while True:
+        m = Mat.from_rows([[Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+        if det(m) != 0:
+            return m
+
+
+def paper_gram_matrices():
+    # the triplet's three forms and the nine twelve-dimensional choir forms
+    lats = [triplet.lattice(i) for i in (1, 2, 3)]
+    return [gram(l).matrix for l in lats + choir_family(lats, copies=2)]
+
+
+# forms whose smallest eigenvalue is a bisection midpoint of (0, min diagonal]:
+# a bound that accepts a singular q - mid*I overshoots on them
+MIDPOINT_EIGENVALUE_FORMS = [
+    Mat.from_rows([[2, 1], [1, 2]]),
+    Mat.from_rows([[4, 1], [1, 4]]),
+    Mat.from_rows([[8, -3], [-3, 8]]),
+    Mat.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 5]]),
+]
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(1, 7)], ids=["eps-1/1000", "eps-1/7"])
+def test_eigenvalue_lower_bound_matches_sturm_oracle(eps):
+    rng = random.Random(89)
+    forms = paper_gram_matrices() + MIDPOINT_EIGENVALUE_FORMS
+    for _ in range(40):
+        m = random_rational_matrix(rng, rng.randint(1, 5), -5, 5)
+        forms.append(m.transpose() @ m)
+    for q in forms:
+        assert eigenvalue_lower_bound(q, eps) == sturm_lower_bound(q, eps)
+
+
+def test_lll_reduce_matches_recompute_oracle():
+    rng = random.Random(97)
+    bases = [triplet.basis_matrix(i) for i in (1, 2, 3)]
+    bases += [dual(triplet.lattice(i)).basis for i in (1, 2, 3)]
+    bases += [random_rational_matrix(rng, rng.randint(1, 6)) for _ in range(40)]
+    for m in bases:
+        assert lll_reduce(m) == recompute_lll(m)
+    for m in bases[:10]:
+        assert lll_reduce(m, Fraction(99, 100)) == recompute_lll(m, Fraction(99, 100))
 
 
 def test_eigenvalue_lower_bound_rejects_indefinite():

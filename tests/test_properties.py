@@ -1,5 +1,6 @@
 """Property tests: squared theta series, certify under unimodular maps,
-and the monomial orbit of a code.
+the monomial orbit of a code, and the eigenvalue bound and LLL against
+their oracles.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
@@ -7,15 +8,18 @@ to keep each enumeration to milliseconds.  Codes have length at most 4,
 so a scalar orbit holds at most 4! * 2**4 images.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from linalg_oracles import recompute_lll, sturm_lower_bound
 from toriso import spectra
 from toriso.codes import LinearCode, canonical_monomial_form
 from toriso.enumeration import rep_spectrum
 from toriso.lattices import GramForm, form_direct_sum
-from toriso.linalg import Mat
+from toriso.linalg import Mat, det, eigenvalue_lower_bound, lll_reduce
 from toriso.search import _orbit_ids, _pack, _pack_powers
 from toriso.spectra import Verdict, certify
 
@@ -88,3 +92,34 @@ def test_canonical_monomial_form_is_the_numpy_orbit_minimum(data):
     # verify_tuple's scalar re-check and the scan's numpy orbit agree
     powers = _pack_powers(q, k, n)
     assert _pack(np.array([canon.rows]), powers)[0] == _orbit_ids(image.rows, q, n, powers)[0]
+
+
+@st.composite
+def rational_forms(draw, max_dim=4):
+    """L L^T for lower-triangular L with small rational entries."""
+    n = draw(st.integers(1, max_dim))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    nonzero = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+    low = Mat.from_rows([[draw(nonzero) if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)])
+    return low @ low.transpose()
+
+
+@SETTINGS
+@given(rational_forms(), st.sampled_from((Fraction(1, 1000), Fraction(1, 7))))
+def test_eigenvalue_lower_bound_is_the_sturm_bound(q, eps):
+    assert eigenvalue_lower_bound(q, eps) == sturm_lower_bound(q, eps)
+
+
+@st.composite
+def bases(draw, max_dim=5):
+    n = draw(st.integers(1, max_dim))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+    m = Mat.from_rows([[draw(entry) for _ in range(n)] for _ in range(n)])
+    assume(det(m) != 0)
+    return m
+
+
+@SETTINGS
+@given(bases())
+def test_lll_reduce_is_the_recompute_lll(basis):
+    assert lll_reduce(basis) == recompute_lll(basis)
