@@ -11,7 +11,10 @@ re-exported here, and nothing is exported that only tests need.
 line interface.
 
 Each exact-arithmetic concept has one implementation, with two
-deliberate exceptions.  The scalar monomial orbit behind
+deliberate exceptions.  Each form is eliminated once: a GramForm keeps
+the Bareiss data of its positive-definiteness check, and the
+enumeration walk reuses it.  Every rank comes from the Hermite normal
+form.  The scalar monomial orbit behind
 canonical_monomial_form stays next to the numpy orbit of the scan,
 because verify_tuple uses it as the independent re-check of the scan's
 verdict.  The prime-modulus branch of the canonical code rows stays next
@@ -27,14 +30,12 @@ from .codes import (
     lift,
     project,
     weight_distribution,
-    weight_signature,
 )
 from .decomposition import (
     Component,
     Decomposition,
     DecompositionError,
     decompose,
-    decompose_form,
     is_irreducible,
 )
 from .enumeration import (
@@ -57,21 +58,16 @@ from .lattices import (
     GramForm,
     Lattice,
     LatticeError,
-    MembershipError,
     choir_family,
-    direct_sum,
     double_form,
     dual,
-    form_direct_sum,
     gram,
     is_even,
-    laplace_spectrum_prefix,
     level,
     scale,
 )
 from .linalg import (
     DimensionError,
-    LdlFactor,
     LinalgError,
     Mat,
     NotPositiveDefiniteError,
@@ -108,11 +104,9 @@ __all__ = [
     "IsoCertificate",
     "Lattice",
     "LatticeError",
-    "LdlFactor",
     "LinalgError",
     "LinearCode",
     "Mat",
-    "MembershipError",
     "NotPositiveDefiniteError",
     "RankError",
     "RepSpectrum",
@@ -127,15 +121,12 @@ __all__ = [
     "certify",
     "choir_family",
     "decompose",
-    "decompose_form",
     "det",
-    "direct_sum",
     "double_form",
     "dual",
     "eigenvalue_lower_bound",
     "enumerate_up_to",
     "equal_weight_distribution",
-    "form_direct_sum",
     "gram",
     "hecke_threshold",
     "hnf",
@@ -143,7 +134,6 @@ __all__ = [
     "integral_equivalence",
     "is_even",
     "is_irreducible",
-    "laplace_spectrum_prefix",
     "lattices_equal",
     "ldl",
     "level",
@@ -158,5 +148,4 @@ __all__ = [
     "shortest_vectors",
     "verify_tuple",
     "weight_distribution",
-    "weight_signature",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import formats, triplet
@@ -50,8 +49,7 @@ def _lattice_from_file(path: str) -> Lattice:
 
 def _cmd_rep(args) -> int:
     form = _form_from_file(args.form)
-    bound = Fraction(args.max)
-    spectrum = rep_spectrum(form, bound)
+    spectrum = rep_spectrum(form, formats._parse_entry(args.max))
     if args.json:
         _emit_json(formats.json_spectrum(spectrum))
     else:
@@ -73,7 +71,7 @@ def _cmd_isospec(args) -> int:
 def _cmd_isometry(args) -> int:
     a = _form_from_file(args.form_a)
     b = _form_from_file(args.form_b)
-    lam = Fraction(args.lambda_bound) if args.lambda_bound else None
+    lam = formats._parse_entry(args.lambda_bound) if args.lambda_bound else None
     witness = integral_equivalence(a, b, lambda_bound=lam, node_budget=args.node_budget)
     if args.json:
         _emit_json(formats.witness_json(witness))

@@ -136,18 +136,14 @@ class LinearCode:
             yield tuple(word)
 
 
-def weight_signature(modulus: int, word) -> tuple[int, ...]:
-    """Sorted folded residues min(c, q - c) of one word."""
-    out = sorted(min(c % modulus, modulus - c % modulus) for c in word)
-    return tuple(out)
-
-
 def weight_distribution(code: LinearCode, cap: int = 10**6) -> tuple[tuple[int, ...], ...]:
     """Multiset of codeword weight signatures, sorted; refuses to expand
-    codes larger than cap."""
+    codes larger than cap.  A word's signature is its sorted folded
+    residues min(c, q - c)."""
     if code.size > cap:
         raise CodeError(f"code has {code.size} words, above the cap {cap}")
-    return tuple(sorted(weight_signature(code.modulus, w) for w in code.codewords()))
+    q = code.modulus
+    return tuple(sorted(tuple(sorted(min(c, q - c) for c in w)) for w in code.codewords()))
 
 
 def equal_weight_distribution(a: LinearCode, b: LinearCode, cap: int = 10**6) -> bool:
@@ -158,6 +154,8 @@ def equal_weight_distribution(a: LinearCode, b: LinearCode, cap: int = 10**6) ->
 
 def project(l: Lattice, modulus: int) -> LinearCode:
     """The code L mod q Z^n of an integral lattice containing q Z^n."""
+    if modulus < 2:
+        raise CodeError("modulus must be at least 2")
     if not l.basis.is_integral():
         raise ShapeError("projection needs an integral lattice")
     n = l.dimension

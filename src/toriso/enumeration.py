@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
-from .linalg import DimensionError, Mat, _integer_rows, _normalize, fraction_free_upper
+from .linalg import DimensionError, Mat, _normalize, _row_hnf_int
 from .lattices import GramForm, Lattice, LatticeError
 
 
@@ -83,16 +83,6 @@ class RepSpectrum:
         return sum(c for _, c in self.entries)
 
 
-def _elimination_data(g_rows: list[list[int]]):
-    n = len(g_rows)
-    urows, d = fraction_free_upper(g_rows)
-    p = 1
-    for i in range(n):
-        p *= d[i] * d[i + 1]
-    w = [p // (d[i] * d[i + 1]) for i in range(n)]
-    return urows, d, p, w
-
-
 def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None]) -> tuple[int, int]:
     """Run the pruned tree walk, calling emit(scaled_norm, coords) once per
     antipodal pair of nonzero solutions of x^T q x <= bound.
@@ -104,14 +94,18 @@ def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None]) 
         raise DimensionError("cannot enumerate an empty form")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    g_rows, s = _integer_rows(q.matrix)
-    n = len(g_rows)
+    # the form's own Bareiss data; u has overwritten the rows of s * q
+    urows, d, s = q._elimination
+    n = q.dimension
     grid = 0
     for i in range(n):
-        grid = gcd(grid, g_rows[i][i])
+        grid = gcd(grid, int(s * q.matrix.at(i, i)))
         for j in range(i + 1, n):
-            grid = gcd(grid, 2 * g_rows[i][j])
-    urows, d, p, w = _elimination_data(g_rows)
+            grid = gcd(grid, int(2 * s * q.matrix.at(i, j)))
+    p = 1
+    for i in range(n):
+        p *= d[i] * d[i + 1]
+    w = [p // (d[i] * d[i + 1]) for i in range(n)]
     cap = int(s * bound // 1)  # floor of the scaled bound
     total = cap * p
     coords = [0] * n
@@ -187,57 +181,18 @@ def rep_spectrum(q: GramForm, bound) -> RepSpectrum:
     )
 
 
-class _SpanTracker:
-    """Incremental exact rank tracking via reduced row echelon rows."""
-
-    def __init__(self):
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
-
-    def _residue(self, v: Sequence) -> list[Fraction]:
-        v = [Fraction(x) for x in v]
-        for row, p in zip(self._rows, self._pivots):
-            c = v[p]
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self._residue(v))
-
-    def add(self, v: Sequence) -> bool:
-        res = self._residue(v)
-        pivot = next((i for i, x in enumerate(res) if x != 0), None)
-        if pivot is None:
-            return False
-        inv = 1 / res[pivot]
-        res = [x * inv for x in res]
-        for row in self._rows:
-            c = row[pivot]
-            if c != 0:
-                row[:] = [a - c * b for a, b in zip(row, res)]
-        at = next((k for k, p in enumerate(self._pivots) if p > pivot), len(self._pivots))
-        self._rows.insert(at, res)
-        self._pivots.insert(at, pivot)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-
 def _ambient_candidates(l: Lattice, pick: Callable):
-    """Enumerate lattice vectors in ambient coordinates, working in an
-    LLL-reduced basis, up to the bound pick(diagonal of the reduced Gram
-    matrix): min reaches every minimal vector, since each reduced basis
-    vector is a lattice vector; max reaches a full-rank vector set."""
+    """Enumerate lattice vectors as (ambient vector, norm, coordinates),
+    working in an LLL-reduced basis, up to the bound pick(diagonal of the
+    reduced Gram matrix): min reaches every minimal vector, since each
+    reduced basis vector is a lattice vector; max reaches a full-rank
+    vector set.  The coordinates are the integer ones in that basis."""
     from .linalg import lll_reduce
 
     reduced = lll_reduce(l.basis)
     q = GramForm(reduced.transpose() @ reduced)
     bound = pick(q.matrix.at(i, i) for i in range(q.dimension))
-    coords = enumerate_up_to(q, bound)
-    out = [(_to_ambient(reduced, c), norm) for c, norm in coords]
+    out = [(_to_ambient(reduced, c), norm, c) for c, norm in enumerate_up_to(q, bound)]
     out.sort(key=lambda item: (item[1], _lead_index(item[0]), item[0]))
     return out
 
@@ -262,7 +217,7 @@ def shortest_vectors(l: Lattice) -> VectorList:
         raise LatticeError("empty lattice has no nonzero vectors")
     cands = _ambient_candidates(l, min)
     m = cands[0][1]
-    vecs = tuple(v for v, norm in cands if norm == m)
+    vecs = tuple(v for v, norm, _ in cands if norm == m)
     return VectorList(norm=m, vectors=vecs)
 
 
@@ -274,25 +229,22 @@ def independent_ladder(l: Lattice, count: int) -> tuple[VectorList, ...]:
     Vectors of the same norm that head off into a different extension are
     left for a later stage, so each stage is one norm value and one new
     direction.  Ties inside a stage keep every vector that lands in the
-    chosen extension.
+    chosen extension.  Spans are tracked on the integer coordinates in the
+    reduced basis, where a rank is the length of a Hermite normal form;
+    span membership does not depend on the basis.
     """
     if l.dimension == 0:
         raise LatticeError("empty lattice has no ladder")
     if not 1 <= count <= l.dimension:
         raise LatticeError(f"count must be in 1..{l.dimension}")
     cands = _ambient_candidates(l, max)
-    span = _SpanTracker()
+    span: list[list[int]] = []  # Hermite rows of the chosen heads
     stages: list[VectorList] = []
-    for _ in range(count):
-        outside = [(v, norm) for v, norm in cands if not span.contains(v)]
-        m = outside[0][1]
-        ties = [v for v, norm in outside if norm == m]
-        head = ties[0]
-        probe = _SpanTracker()
-        for row in span._rows:
-            probe.add(row)
-        probe.add(head)
-        members = tuple(v for v in ties if probe.contains(v))
+    for rank in range(count):
+        outside = [(v, norm, c) for v, norm, c in cands if len(_row_hnf_int(span + [c])) > rank]
+        _, m, head = outside[0]
+        probe = _row_hnf_int(span + [head])
+        members = tuple(v for v, norm, c in outside if norm == m and len(_row_hnf_int(probe + [c])) == rank + 1)
         stages.append(VectorList(norm=m, vectors=members))
-        span.add(head)
+        span = probe
     return tuple(stages)

@@ -9,7 +9,8 @@ Gram matrices entry for entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,10 +27,6 @@ from .linalg import (
 
 class LatticeError(ValueError):
     pass
-
-
-class MembershipError(LatticeError):
-    """Vector does not belong to the lattice."""
 
 
 @dataclass(frozen=True)
@@ -49,40 +46,26 @@ class Lattice:
     def dimension(self) -> int:
         return self.basis.rows
 
-    def coordinates(self, v: Sequence) -> tuple[int, ...]:
-        """Integer coordinates of an ambient lattice vector."""
-        coords = self.basis.inverse().apply(v)
-        if any(c.denominator != 1 for c in coords):
-            raise MembershipError(f"{tuple(v)} is not a lattice vector")
-        return tuple(int(c) for c in coords)
-
-    def contains(self, v: Sequence) -> bool:
-        try:
-            self.coordinates(v)
-        except MembershipError:
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class GramForm:
-    """Symmetric positive-definite matrix of inner products."""
+    """Symmetric positive-definite matrix of inner products.
+
+    The Bareiss data (u, minors, s) of the positive-definiteness gate is
+    kept, so the enumeration walk never eliminates the form again."""
 
     matrix: Mat
+    _elimination: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.matrix.is_symmetric():
             raise ShapeError("Gram matrix must be symmetric")
-        _positive_definite_data(self.matrix)  # raises NotPositiveDefiniteError otherwise
+        # raises NotPositiveDefiniteError otherwise
+        object.__setattr__(self, "_elimination", _positive_definite_data(self.matrix))
 
     @property
     def dimension(self) -> int:
         return self.matrix.rows
-
-    def value(self, x: Sequence) -> Fraction:
-        """The quadratic form x^T q x."""
-        qx = self.matrix.apply(x)
-        return sum((Fraction(a) * b for a, b in zip(x, qx)), Fraction(0))
 
 
 def gram(l: Lattice) -> GramForm:
@@ -124,10 +107,6 @@ def level(q: GramForm) -> int:
     return 2 * d
 
 
-def form_direct_sum(a: GramForm, b: GramForm) -> GramForm:
-    return GramForm(_block_diag(a.matrix, b.matrix))
-
-
 def _block_diag(a: Mat, b: Mat) -> Mat:
     n, m = a.rows, b.rows
     rows = []
@@ -165,56 +144,9 @@ def choir_family(lats: Sequence[Lattice], copies: int) -> list[Lattice]:
     if not lats:
         raise LatticeError("need at least one lattice")
     out: list[Lattice] = []
-    k = len(lats)
-    indices = [0] * copies
-
-    def build() -> Lattice:
+    for choice in itertools.product(lats, repeat=copies):
         acc = Lattice(Mat(0, 0, ()))
-        for slot, idx in enumerate(indices, start=1):
-            acc = direct_sum(acc, scale(lats[idx], slot))
-        return acc
-
-    while True:
-        out.append(build())
-        for pos in range(copies - 1, -1, -1):
-            indices[pos] += 1
-            if indices[pos] < k:
-                break
-            indices[pos] = 0
-        else:
-            break
+        for slot, lat in enumerate(choice, start=1):
+            acc = direct_sum(acc, scale(lat, slot))
+        out.append(acc)
     return out
-
-
-def laplace_spectrum_prefix(l: Lattice, count: int) -> tuple[tuple[Fraction, int], ...]:
-    """First `count` distinct Laplace eigenvalues of the flat torus R^n/L,
-    as (coefficient, multiplicity) pairs with eigenvalue = coefficient * pi^2.
-
-    Eigenvalues are 4 pi^2 |xi|^2 over dual vectors xi; multiplicities count
-    both signs.  The zero eigenvalue opens the list with multiplicity 1.
-    """
-    from .enumeration import rep_spectrum  # local import, module layering
-
-    if count < 1:
-        raise LatticeError("count must be positive")
-    if l.dimension == 0:
-        raise LatticeError("empty lattice has no spectrum")
-    from .linalg import lll_reduce
-
-    dl = dual(l)
-    dq = gram(dl)
-    out: list[tuple[Fraction, int]] = [(Fraction(0), 1)]
-    if count == 1:
-        return tuple(out)
-    reduced = lll_reduce(dl.basis)
-    bound = min(
-        sum((x * x for x in reduced.column(j)), Fraction(0)) for j in range(reduced.cols)
-    )
-    while True:
-        spec = rep_spectrum(dq, bound)
-        nonzero = [(t, c) for t, c in spec.items() if t != 0 and c > 0]
-        if len(nonzero) >= count - 1:
-            for t, c in nonzero[: count - 1]:
-                out.append((4 * Fraction(t), c))
-            return tuple(out)
-        bound = bound * 2

@@ -92,9 +92,6 @@ class Mat:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return self.entries[j :: self.cols]
 
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -106,11 +103,6 @@ class Mat:
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.entries)
-
-    def int_rows(self) -> list[list[int]]:
-        if not self.is_integral():
-            raise ShapeError("integer entries required")
-        return [[int(x) for x in self.row(i)] for i in range(self.rows)]
 
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))

@@ -136,31 +136,10 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
     max_compare_t caps the comparison range, in units of the internally
     scaled forms."""
     notes: list[str] = []
-    if a.dimension != b.dimension:
-        return IsoCertificate(
-            verdict=Verdict.NOT_ISOSPECTRAL,
-            dimension=-1,
-            dets=(_normalize(det(a.matrix)) if a.dimension else 1, _normalize(det(b.matrix)) if b.dimension else 1),
-            scaled_by=1,
-            doubled=False,
-            summed=False,
-            levels=None,
-            threshold=None,
-            compared_up_to=None,
-            first_difference=None,
-            notes=("dimensions differ",),
-        )
-    if a.dimension == 0:
-        raise DimensionError("cannot certify empty forms")
-
-    dim = a.dimension
+    dim = a.dimension if a.dimension == b.dimension else -1
     det_a, det_b = det(a.matrix), det(b.matrix)
-
-    s = _denominator_scale(a.matrix.entries + b.matrix.entries)
-    qa = GramForm(a.matrix.scaled(s)) if s != 1 else a
-    qb = GramForm(b.matrix.scaled(s)) if s != 1 else b
-    if s != 1:
-        notes.append(f"cleared denominators with scale {s}")
+    s = 1
+    doubled = summed = False
 
     def finish(verdict, levels=None, threshold=None, compared=None, first=None, table=()):
         return IsoCertificate(
@@ -178,8 +157,17 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
             table=table,
         )
 
-    doubled = False
-    summed = False
+    if dim < 0:
+        notes.append("dimensions differ")
+        return finish(Verdict.NOT_ISOSPECTRAL)
+    if dim == 0:
+        raise DimensionError("cannot certify empty forms")
+
+    s = _denominator_scale(a.matrix.entries + b.matrix.entries)
+    qa = GramForm(a.matrix.scaled(s)) if s != 1 else a
+    qb = GramForm(b.matrix.scaled(s)) if s != 1 else b
+    if s != 1:
+        notes.append(f"cleared denominators with scale {s}")
 
     if det_a != det_b:
         notes.append("determinants differ")

@@ -1,5 +1,6 @@
-"""Test oracles for linalg: the Sturm eigenvalue bound and the
-recompute-everything LLL that the library replaced.
+"""Test oracles for linalg and enumeration: the Sturm eigenvalue bound,
+the recompute-everything LLL and the Fraction rank ladder that the
+library replaced, and a brute-force box scan of a quadratic-form ball.
 
 sturm_lower_bound decides each bisection step by counting the roots of
 the characteristic polynomial in (0, mid] with a Sturm chain; it shares no
@@ -8,10 +9,17 @@ bounds are evidence that both decide "lambda_min(q) > mid" alike.
 recompute_lll runs the same reductions and swaps as lll_reduce but
 rebuilds the whole Gram-Schmidt data after each of them, so equal bases
 are evidence that the in-place mu/B updates are exact.
+fraction_ladder tracks spans by Fraction Gauss-Jordan rows over the
+ambient vectors, where independent_ladder takes Hermite-form ranks of
+reduced-basis coordinates.  box_oracle scans every coordinate vector of a
+box that contains the ball, with no elimination at all.
 """
 
+import itertools
 from fractions import Fraction
+from math import isqrt
 
+from toriso.enumeration import VectorList, _ambient_candidates
 from toriso.linalg import DimensionError, Mat, RankError, _positive_definite_data
 
 
@@ -143,3 +151,89 @@ def recompute_lll(basis, delta=Fraction(3, 4)):
             mu, norms = gram_schmidt()
             k = max(k - 1, 1)
     return Mat.from_columns(b)
+
+
+class SpanTracker:
+    """Incremental exact rank tracking via reduced row echelon rows."""
+
+    def __init__(self):
+        self.rows: list[list[Fraction]] = []
+        self._pivots: list[int] = []
+
+    def _residue(self, v):
+        v = [Fraction(x) for x in v]
+        for row, p in zip(self.rows, self._pivots):
+            c = v[p]
+            if c != 0:
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, v) -> bool:
+        return all(x == 0 for x in self._residue(v))
+
+    def add(self, v) -> bool:
+        res = self._residue(v)
+        pivot = next((i for i, x in enumerate(res) if x != 0), None)
+        if pivot is None:
+            return False
+        inv = 1 / res[pivot]
+        res = [x * inv for x in res]
+        for row in self.rows:
+            c = row[pivot]
+            if c != 0:
+                row[:] = [a - c * b for a, b in zip(row, res)]
+        at = next((k for k, p in enumerate(self._pivots) if p > pivot), len(self._pivots))
+        self.rows.insert(at, res)
+        self._pivots.insert(at, pivot)
+        return True
+
+
+def fraction_ladder(l, count):
+    """independent_ladder with each span kept as Fraction echelon rows of
+    ambient vectors."""
+    cands = [(v, norm) for v, norm, _ in _ambient_candidates(l, max)]
+    span = SpanTracker()
+    stages = []
+    for _ in range(count):
+        outside = [(v, norm) for v, norm in cands if not span.contains(v)]
+        m = outside[0][1]
+        ties = [v for v, norm in outside if norm == m]
+        head = ties[0]
+        probe = SpanTracker()
+        for row in span.rows:
+            probe.add(row)
+        probe.add(head)
+        stages.append(VectorList(norm=m, vectors=tuple(v for v in ties if probe.contains(v))))
+        span.add(head)
+    return tuple(stages)
+
+
+def fraction_shortest_vectors(l):
+    """The minimal-norm vectors among the ladder's full-rank candidates."""
+    cands = _ambient_candidates(l, max)
+    m = cands[0][1]
+    return VectorList(norm=m, vectors=tuple(v for v, norm, _ in cands if norm == m))
+
+
+def box_oracle(q: Mat, bound: Fraction) -> dict[tuple[int, ...], Fraction]:
+    """Brute-force reference: scan the coordinate box |x_i|^2 <= C * (q^-1)_ii
+    that contains the ball, one canonical representative per +- pair."""
+    n = q.rows
+    inv = q.inverse()
+    lims = [isqrt(int(bound * inv.at(i, i))) for i in range(n)]
+    out: dict[tuple[int, ...], Fraction] = {}
+    for x in itertools.product(*[range(-l, l + 1) for l in lims]):
+        if all(c == 0 for c in x):
+            continue
+        qx = q.apply(x)
+        norm = sum((Fraction(a) * b for a, b in zip(x, qx)), Fraction(0))
+        if norm > bound:
+            continue
+        canon = x
+        for c in x:
+            if c != 0:
+                if c < 0:
+                    canon = tuple(-y for y in x)
+                break
+        out[canon] = norm
+    return out

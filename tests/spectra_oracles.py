@@ -11,9 +11,13 @@ so equal certificates are evidence that the convolution is exact.
 from fractions import Fraction
 
 from toriso.enumeration import rep_spectrum
-from toriso.lattices import GramForm, form_direct_sum, is_even, level
+from toriso.lattices import GramForm, _block_diag, is_even, level
 from toriso.linalg import _denominator_scale, _normalize, det
 from toriso.spectra import IsoCertificate, Verdict, hecke_threshold
+
+
+def form_direct_sum(a, b):
+    return GramForm(_block_diag(a.matrix, b.matrix))
 
 
 def _spectra_differ(a, b, cap):

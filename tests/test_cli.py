@@ -41,6 +41,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, flags=(), timeout=15):
+    # a fresh interpreter, so a crash shows as a traceback and a hang as a timeout
+    src = str(Path(toriso.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "toriso.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
 def test_rep_matches_library_serialization(demo_files, capsys):
     code, out, _ = run(capsys, "rep", str(demo_files["q1x2"]), "--max", "16")
     assert code == 0
@@ -217,14 +226,31 @@ def test_codesearch_rejects_oversized_tables(tmp_path, capsys, q, n, k, problem)
     ],
 )
 def test_codesearch_rejects_huge_spaces_before_building_them(tmp_path, n, k, problem):
-    # run in a subprocess so that a regression shows as a timeout, not a hang
-    src = str(Path(toriso.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    args = ["codesearch", "--q", "2", "--n", n, "--k", k, "--family", "systematic", "--out", str(tmp_path / "x")]
-    done = subprocess.run([sys.executable, "-m", "toriso.cli", *args], env=env, capture_output=True, text=True, timeout=15)
+    done = run_process("codesearch", "--q", "2", "--n", n, "--k", k, "--family", "systematic", "--out", str(tmp_path / "x"))
     assert done.returncode == 2
     assert done.stderr.startswith("error:") and problem in done.stderr
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, problem",
+    [
+        (("rep", "id2", "--max", "1/0"), "zero denominator"),
+        (("rep", "id2", "--max", "-1"), "nonnegative"),
+        (("rep", "id2", "--max", "1e3"), "bad entry"),
+        (("isometry", "id2", "id2", "--lambda-bound", "1/0"), "zero denominator"),
+        (("isometry", "id2", "id2", "--lambda-bound", "-1"), "positive"),
+        (("project", "a1", "--q", "0"), "at least 2"),
+        (("project", "a1", "--q", "1"), "at least 2"),
+        (("isospec", "id2", "id2", "--max-t", "-3"), "nonnegative"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
+)
+def test_hostile_input_exits_2_without_traceback(demo_files, argv, problem):
+    done = run_process(*(str(demo_files.get(a, a)) for a in argv))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and problem in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_paper_triplet_passes(capsys):
@@ -259,11 +285,7 @@ def test_paper_triplet_json(capsys):
 
 def test_paper_triplet_passes_under_python_O():
     # verdict checks are real exceptions, not asserts that -O strips
-    src = str(Path(toriso.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-O", "-m", "toriso.cli", "paper-triplet"], env=env, capture_output=True, text=True, timeout=600
-    )
+    done = run_process("paper-triplet", flags=("-O",), timeout=600)
     assert done.returncode == 0, done.stderr
     assert "irreducibility: PASS" in done.stdout.splitlines()
 

@@ -12,7 +12,6 @@ from toriso.codes import (
     lift,
     project,
     weight_distribution,
-    weight_signature,
 )
 from toriso.lattices import LatticeError, Lattice
 from toriso.linalg import Mat, det, lattices_equal
@@ -81,8 +80,7 @@ def test_lift_project_round_trip_all_small_codes(q, n):
             assert project(lat, q) == code
             # the lift always sits between qZ^n and Z^n
             assert lat.basis.is_integral()
-            for i in range(n):
-                assert lat.contains([q * int(j == i) for j in range(n)])
+            assert lat.basis.inverse().scaled(q).is_integral()
             assert det(lat.basis) * code.size == q**n
 
 
@@ -140,9 +138,10 @@ def test_non_prime_modulus_codes_work():
 
 
 def test_weight_signature_folds_residues():
-    assert weight_signature(5, (0, 1, 2, 3, 4)) == (0, 1, 1, 2, 2)
-    assert weight_signature(2, (1, 0, 1)) == (0, 1, 1)
-    assert sum(weight_signature(2, (1, 1, 0, 1))) == 3  # Hamming weight
+    # each word's signature is its sorted folded residues min(c, q - c)
+    assert weight_distribution(LinearCode(5, 5, ((0, 1, 2, 3, 4),))) == ((0,) * 5,) + ((0, 1, 1, 2, 2),) * 4
+    assert weight_distribution(LinearCode(2, 3, ((1, 0, 1),))) == ((0, 0, 0), (0, 1, 1))
+    assert sum(weight_distribution(LinearCode(2, 4, ((1, 1, 0, 1),)))[1]) == 3  # Hamming weight
 
 
 def test_weight_distribution_and_cap():

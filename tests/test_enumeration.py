@@ -1,10 +1,11 @@
-import itertools
 import random
+import sys
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
+from linalg_oracles import box_oracle, fraction_ladder, fraction_shortest_vectors
+from toriso import linalg
 from toriso.enumeration import (
     RepSpectrum,
     VectorList,
@@ -14,32 +15,8 @@ from toriso.enumeration import (
     shortest_vectors,
 )
 from toriso.lattices import GramForm, Lattice
-from toriso.linalg import DimensionError, Mat
+from toriso.linalg import DimensionError, Mat, det
 from toriso import triplet
-
-
-def box_oracle(q: Mat, bound: Fraction) -> dict[tuple[int, ...], Fraction]:
-    """Brute-force reference: scan the coordinate box |x_i|^2 <= C * (q^-1)_ii
-    that contains the ball, one canonical representative per +- pair."""
-    n = q.rows
-    inv = q.inverse()
-    lims = [isqrt(int(bound * inv.at(i, i))) for i in range(n)]
-    out: dict[tuple[int, ...], Fraction] = {}
-    for x in itertools.product(*[range(-l, l + 1) for l in lims]):
-        if all(c == 0 for c in x):
-            continue
-        qx = q.apply(x)
-        norm = sum((Fraction(a) * b for a, b in zip(x, qx)), Fraction(0))
-        if norm > bound:
-            continue
-        canon = x
-        for c in x:
-            if c != 0:
-                if c < 0:
-                    canon = tuple(-y for y in x)
-                break
-        out[canon] = norm
-    return out
 
 
 def random_spd(rng: random.Random, n: int) -> Mat:
@@ -161,7 +138,7 @@ def test_rep_spectrum_congruence_invariance():
     for _ in range(10):
         q = random_spd(rng, 3)
         u = random_unimodular(rng, 3)
-        conj = u.transpose() @ Mat.from_rows([[Fraction(x) for x in r] for r in q.row_lists()]) @ u
+        conj = u.transpose() @ q @ u
         assert rep_spectrum(GramForm(q), 9).items() == rep_spectrum(GramForm(conj), 9).items()
 
 
@@ -238,10 +215,44 @@ def test_ladder_stage_five_is_pinned_by_uniqueness():
     # one norm-8 pair, and only one, extends the span of the first four
     # stages; a near-miss variant of it is not even a lattice vector
     l = triplet.lattice(1)
-    assert l.contains(triplet.V5)
-    assert not l.contains((1, 0, 1, 2, 1, -1))
+    inverse = l.basis.inverse()
+    assert all(x.denominator == 1 for x in inverse.apply(triplet.V5))
+    assert not all(x.denominator == 1 for x in inverse.apply((1, 0, 1, 2, 1, -1)))
     stages = independent_ladder(l, 6)
     assert stages[4].vectors == (triplet.V5,)
+
+
+def test_ladder_and_shortest_vectors_match_fraction_oracle():
+    rng = random.Random(20261018)
+    lattices = [triplet.lattice(i) for i in (1, 2, 3)]
+    while len(lattices) < 43:
+        n = rng.randint(1, 5)
+        basis = Mat.from_rows([[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+        if det(basis) != 0:
+            lattices.append(Lattice(basis))
+    for l in lattices:
+        assert shortest_vectors(l) == fraction_shortest_vectors(l)
+        for count in range(1, l.dimension + 1):
+            assert independent_ladder(l, count) == fraction_ladder(l, count)
+
+
+@pytest.mark.parametrize("walk", [enumerate_up_to, rep_spectrum])
+def test_form_and_enumeration_eliminate_once(monkeypatch, walk):
+    # the GramForm gate's Bareiss data is the walk's: one elimination in all
+    calls = []
+    real = linalg.fraction_free_upper
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("toriso")]:
+        if getattr(module, "fraction_free_upper", None) is real:
+            monkeypatch.setattr(module, "fraction_free_upper", counted)
+    for matrix in (triplet.gram_matrix(1), Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]])):
+        calls.clear()
+        walk(GramForm(matrix), 12)
+        assert calls == [matrix.rows]
 
 
 def test_vector_list_is_frozen():

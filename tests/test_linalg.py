@@ -116,7 +116,7 @@ def test_fraction_free_upper_agrees_with_ldl():
     for _ in range(50):
         n = rng.randint(2, 5)
         q = random_spd(rng, n, -5, 5)
-        u, minors = fraction_free_upper(q.int_rows())
+        u, minors = fraction_free_upper([[int(x) for x in q.row(i)] for i in range(n)])
         lower, diag = fraction_ldl(q)
         for i in range(n):
             assert Fraction(minors[i + 1], minors[i]) == diag[i]

@@ -1,6 +1,6 @@
-"""Property tests: squared theta series, certify under unimodular maps,
-the monomial orbit of a code, and the eigenvalue bound and LLL against
-their oracles.
+"""Property tests: enumeration against the box oracle, squared theta
+series, certify under unimodular maps, the monomial orbit of a code, and
+the eigenvalue bound and LLL against their oracles.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
@@ -8,17 +8,19 @@ to keep each enumeration to milliseconds.  Codes have length at most 4,
 so a scalar orbit holds at most 4! * 2**4 images.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from linalg_oracles import recompute_lll, sturm_lower_bound
+from linalg_oracles import box_oracle, recompute_lll, sturm_lower_bound
+from spectra_oracles import form_direct_sum
 from toriso import spectra
 from toriso.codes import LinearCode, canonical_monomial_form
-from toriso.enumeration import rep_spectrum
-from toriso.lattices import GramForm, form_direct_sum
+from toriso.enumeration import enumerate_up_to, rep_spectrum
+from toriso.lattices import GramForm
 from toriso.linalg import Mat, det, eigenvalue_lower_bound, lll_reduce
 from toriso.search import _orbit_ids, _pack, _pack_powers
 from toriso.spectra import Verdict, certify
@@ -123,3 +125,21 @@ def bases(draw, max_dim=5):
 @given(bases())
 def test_lll_reduce_is_the_recompute_lll(basis):
     assert lll_reduce(basis) == recompute_lll(basis)
+
+
+@SETTINGS
+@given(st.one_of(forms(max_dim=4).map(lambda f: f.matrix), rational_forms()), st.integers(0, 16))
+@example(Mat.from_rows([[4, 1], [1, 4]]), 16)  # grid step 2, half the diagonal
+def test_enumerate_up_to_is_the_box_oracle(q, t):
+    # the oracle's box has half-widths isqrt(bound * (q^-1)_ii) <= 4
+    bound = t / max(q.inverse().at(i, i) for i in range(q.rows))
+    expected = box_oracle(q, bound)
+    got = enumerate_up_to(GramForm(q), bound)
+    assert dict(got) == expected and len(got) == len(expected)
+    assert got == sorted(got, key=lambda item: (item[1], item[0]))
+    if expected:
+        # a bound that the form attains keeps its whole top shell
+        assert dict(enumerate_up_to(GramForm(q), max(expected.values()))) == expected
+    # every value lies on rep_spectrum's grid and is counted with both signs
+    counts = {0: 1, **{t: 2 * c for t, c in Counter(expected.values()).items()}}
+    assert {t: c for t, c in rep_spectrum(GramForm(q), bound).entries if c} == counts

@@ -120,7 +120,7 @@ def test_certify_capped_comparison_is_inconclusive():
 
 
 def test_certify_detects_perturbed_form():
-    rows = [list(r) for r in triplet.gram_matrix(3).row_lists()]
+    rows = [list(r) for r in triplet.Q3_ROWS]
     rows[0][0] += 2
     cert = certify(triplet.gram_form(3), GramForm(Mat.from_rows(rows)))
     assert cert.verdict is Verdict.NOT_ISOSPECTRAL
