@@ -12,7 +12,9 @@ indecomposables inside it), filters decomposables by the exact test
     v decomposable  iff  exists x with 0 < |x|^2 < |v|^2 and
                          |<x, v>| >= |x|^2,
 
-where it suffices to let x range over shorter indecomposables, and then
+where it suffices to let x range over shorter indecomposables (both
+sides scaled by the form's denominator scale s and taken in integers
+against s * q), and then
 certifies the result: the surviving vectors must generate the full
 coordinate lattice, component ranks must sum to the dimension, and the
 component bases must be pairwise orthogonal.  A certificate failure
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .enumeration import _to_ambient, enumerate_up_to
 from .lattices import GramForm, Lattice
@@ -53,10 +56,6 @@ class Decomposition:
         return len(self.components) == 1
 
 
-def _dot(u, qv) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, qv)), Fraction(0))
-
-
 def decompose_form(q: GramForm) -> Decomposition:
     """Finest orthogonal decomposition of the coordinate lattice under q."""
     n = q.dimension
@@ -64,13 +63,15 @@ def decompose_form(q: GramForm) -> Decomposition:
         raise DimensionError("cannot decompose an empty form")
     bound = max(q.matrix.at(i, i) for i in range(n))
     qm = q.matrix
-    indec: list[tuple[tuple, tuple, Fraction]] = []  # (vector, q*vector, norm)
+    s = q._elimination[2]
+    sq = [[int(s * x) for x in qm.row(i)] for i in range(n)]
+    indec: list[tuple[tuple, tuple, int]] = []  # (vector, s*q*vector, s*norm)
     for v, norm in enumerate_up_to(q, bound):
-        norm = Fraction(norm)
-        qv = qm.apply(v)
-        if any(abs(_dot(x, qv)) >= xn for x, _, xn in indec if xn < norm):
+        snorm = int(s * norm)
+        sqv = tuple(sum(map(mul, row, v)) for row in sq)
+        if any(abs(sum(map(mul, x, sqv))) >= xn for x, _, xn in indec if xn < snorm):
             continue
-        indec.append((v, qv, norm))
+        indec.append((v, sqv, snorm))
 
     parent = list(range(len(indec)))
 
@@ -82,7 +83,7 @@ def decompose_form(q: GramForm) -> Decomposition:
 
     for i in range(len(indec)):
         for j in range(i + 1, len(indec)):
-            if _dot(indec[i][0], indec[j][1]) != 0:
+            if sum(map(mul, indec[i][0], indec[j][1])):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri

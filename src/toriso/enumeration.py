@@ -17,6 +17,15 @@ forms are pre-scaled by the lcm of their entry denominators; antipodal
 pairs are collapsed by forcing the highest-index nonzero coordinate
 positive during the walk and re-normalizing emitted vectors to the
 first-nonzero-positive convention.
+
+Asked for a set of norms (the shells an isometry search needs), the walk
+runs to the largest of them and does not loop over x_0.  A vector of
+scaled norm N has u_0^2 * w_0 = REM - (N_max - N) * P, so for each N it
+solves for u_0 and keeps x_0 = (+-u_0 - t) / d_1 when u_0^2 is a whole
+square and x_0 an integer.  Every vector of a wanted norm lies in the
+ball of N_max and is reached there, and nothing else is emitted, so the
+walk yields exactly the requested shells.  A walk that tries more than
+_WALK_BUDGET points at x_0 raises ValueError instead of running on.
 """
 
 from __future__ import annotations
@@ -83,12 +92,17 @@ class RepSpectrum:
         return sum(c for _, c in self.entries)
 
 
-def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None]) -> tuple[int, int]:
-    """Run the pruned tree walk, calling emit(scaled_norm, coords) once per
-    antipodal pair of nonzero solutions of x^T q x <= bound.
+_WALK_BUDGET = 2_000_000  # points one walk may try at coordinate 0
 
-    scaled_norm is the integer value against the denominator-cleared form;
-    returns (scale, grid_gcd) for the caller to map values back.
+
+def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None], values=None) -> int:
+    """Run the pruned tree walk, calling emit(scaled_norm, coords) once per
+    antipodal pair of nonzero solutions of x^T q x <= bound; given values,
+    a set of scaled norms, only for the solutions whose norm is one of them.
+
+    scaled_norm is the integer value against the denominator-cleared form
+    s * q; returns s for the caller to map values back.  Raises ValueError
+    once the walk has tried more than _WALK_BUDGET points at coordinate 0.
     """
     if q.dimension == 0:
         raise DimensionError("cannot enumerate an empty form")
@@ -97,11 +111,6 @@ def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None]) 
     # the form's own Bareiss data; u has overwritten the rows of s * q
     urows, d, s = q._elimination
     n = q.dimension
-    grid = 0
-    for i in range(n):
-        grid = gcd(grid, int(s * q.matrix.at(i, i)))
-        for j in range(i + 1, n):
-            grid = gcd(grid, int(2 * s * q.matrix.at(i, j)))
     p = 1
     for i in range(n):
         p *= d[i] * d[i + 1]
@@ -109,37 +118,79 @@ def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None]) 
     cap = int(s * bound // 1)  # floor of the scaled bound
     total = cap * p
     coords = [0] * n
+    # u_0^2 * w_0 = rem - (total - N * p) for scaled norm N: with rem = a * w_0 + rho
+    # and total - N * p = k * w_0 + c, u_0^2 = a - k exactly when rho == c
+    solve: dict[int, list[tuple[int, int]]] | None = None if values is None else {}
+    for N in sorted(values or (), reverse=True):
+        k, c = divmod(total - N * p, w[0])
+        solve.setdefault(c, []).append((N, k))
+    tried = 0
 
     def rec(i: int, rem: int, leading: bool):
-        if i < 0:
-            if not leading:
-                scaled, r = divmod(total - rem, p)
-                if r:
-                    raise ArithmeticError("scaled norm is not a multiple of the elimination product")
-                emit(scaled, coords)
-            return
-        wi = w[i]
-        r = isqrt(rem // wi)
+        nonlocal tried
         ui = urows[i]
         t = 0
         for j in range(i + 1, n):
             cj = coords[j]
             if cj:
                 t += ui[j] * cj
-        di = d[i + 1]
-        lo = -((r + t) // di)
-        hi = (r - t) // di
-        if leading and lo < 0:
-            lo = 0
+        wi, di = w[i], d[i + 1]
+        if i == 0 and solve is not None:
+            # solve for u_0 at each wanted norm instead of looping over x_0
+            tried += 1
+            a, rho = divmod(rem, wi)
+            for scaled, k in solve.get(rho, ()):
+                if k > a:
+                    break  # k grows as the norms fall: u_0^2 < 0 from here on
+                u = isqrt(a - k)
+                if u * u == a - k:
+                    for root in (u, -u) if u else (0,):
+                        x, r = divmod(root - t, di)
+                        if not r and (x > 0 or not leading):
+                            coords[0] = x
+                            emit(scaled, coords)
+            lo, hi = 1, 0  # nothing left to loop over
+        else:
+            r = isqrt(rem // wi)
+            lo = -((r + t) // di)
+            hi = (r - t) // di
+            if leading and lo <= 0:
+                lo = 0 if i else 1  # the zero vector is never emitted
+            if i == 0:
+                tried += hi - lo + 1
+        if tried > _WALK_BUDGET:
+            raise ValueError(f"enumeration budget exceeded: more than {_WALK_BUDGET} points tried")
         for x in range(lo, hi + 1):
             u = di * x + t
             coords[i] = x
-            rec(i - 1, rem - u * u * wi, leading and x == 0)
+            if i:
+                rec(i - 1, rem - u * u * wi, leading and x == 0)
+                continue
+            scaled, r = divmod(total - rem + u * u * wi, p)
+            if r:
+                raise ArithmeticError("scaled norm is not a multiple of the elimination product")
+            emit(scaled, coords)
         coords[i] = 0
 
     if cap >= 0:
         rec(n - 1, total, True)
-    return s, grid
+    return s
+
+
+def _shells(q: GramForm, values) -> dict[Fraction, list[tuple[int, ...]]]:
+    """The exact-norm shells {t: coordinate vectors x with x^T q x = t} of
+    those values t that q represents, one vector per antipodal pair (first
+    nonzero coordinate positive), each shell sorted."""
+    s = q._elimination[2]
+    wanted = {int(t * s): t for t in map(Fraction, values) if t > 0 and (t * s).denominator == 1}
+    found: dict[int, list] = {}
+
+    def emit(scaled: int, coords: list[int]):
+        found.setdefault(scaled, []).append(_canonical_sign(coords))
+
+    if wanted:
+        _walk(q, max(wanted.values()), emit, wanted)
+    return {wanted[k]: sorted(vecs) for k, vecs in found.items()}
 
 
 def enumerate_up_to(q: GramForm, bound) -> list[tuple[tuple[int, ...], Fraction | int]]:
@@ -152,7 +203,7 @@ def enumerate_up_to(q: GramForm, bound) -> list[tuple[tuple[int, ...], Fraction 
     def emit(scaled: int, coords: list[int]):
         found.append((_canonical_sign(coords), scaled))
 
-    s, _ = _walk(q, bound, emit)
+    s = _walk(q, bound, emit)
     out = [(c, _normalize(Fraction(scaled, s))) for c, scaled in found]
     out.sort(key=lambda item: (item[1], item[0]))
     return out
@@ -162,15 +213,21 @@ def rep_spectrum(q: GramForm, bound) -> RepSpectrum:
     """Counts of x with x^T q x = t for every grid value t <= bound.
 
     Both signs of each nonzero vector are counted, and t = 0 always
-    counts the zero vector once."""
+    counts the zero vector once.  Raises ValueError when the grid alone
+    would hold more than _WALK_BUDGET values."""
     bound = Fraction(bound)
     counts: dict[int, int] = {}
 
     def emit(scaled: int, coords: list[int]):
         counts[scaled] = counts.get(scaled, 0) + 2
 
-    s, grid = _walk(q, bound, emit)
+    s, m, n = q._elimination[2], q.matrix, q.dimension
+    # gcd of the diagonal and doubled off-diagonal entries of s * q
+    grid = gcd(*(int((1 if i == j else 2) * s * m.at(i, j)) for i in range(n) for j in range(i, n)))
     cap = int(s * bound // 1)
+    if grid and cap // grid > _WALK_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {cap // grid} grid values up to {bound}, over {_WALK_BUDGET}")
+    _walk(q, bound, emit)
     entries = [(Fraction(0), 1)]
     for k in range(grid, cap + 1, grid):
         entries.append((Fraction(k, s), counts.get(k, 0)))

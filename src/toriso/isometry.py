@@ -12,16 +12,19 @@ column (column sign flips act on solutions), and prunes on every exact
 inner product against the already-assigned columns.  Exhaustion is
 therefore a proof of inequivalence, and any returned witness is
 re-verified against both defining equations before it leaves this
-module.
+module.  The shells come from the exact-shell walk (enumeration._shells),
+and the q1-product of a candidate is computed when it is first assigned,
+then cached, so candidates the search never places cost no product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .enumeration import enumerate_up_to
-from .lattices import GramForm
+from .enumeration import _shells, enumerate_up_to  # noqa: F401 (bench/test_bench.py traces this binding)
+from .lattices import GramForm, _form_det
 from .linalg import DimensionError, Mat, _normalize, det, eigenvalue_lower_bound
 
 
@@ -90,35 +93,19 @@ def integral_equivalence(
         raise DimensionError("cannot search empty forms")
     n = q1.dimension
 
-    if det(q1.matrix) != det(q2.matrix):
-        stats = SearchStats(
-            lambda_bound=None,
-            caps=(),
-            candidate_counts=(),
-            column_order=(),
-            nodes=0,
-            notes=("determinants differ",),
-        )
-        return EquivalenceWitness(None, stats)
+    if _form_det(q1) != _form_det(q2):
+        return EquivalenceWitness(None, SearchStats(None, (), (), (), 0, ("determinants differ",)))
 
     lam = Fraction(lambda_bound) if lambda_bound is not None else eigenvalue_lower_bound(q1.matrix, Fraction(1, 1000))
     caps = norm_caps(q1, q2, lam)
 
     diag = [q2.matrix.at(j, j) for j in range(n)]
-    needed = {Fraction(d) for d in diag}
-    shells: dict[Fraction, list] = {}
-    for coords, norm in enumerate_up_to(q1, max(diag)):
-        key = Fraction(norm)
-        if key in needed:
-            shells.setdefault(key, []).append(coords)
-    # Gram products are shared between columns with equal diagonal targets,
-    # and computed in plain integers whenever the form is integral.
+    shells = _shells(q1, diag)
+    buckets = [shells.get(diag[j], []) for j in range(n)]
+    # q1 * v is computed when v is first assigned and cached for every
+    # column with that diagonal target, in plain integers when q1 is integral
     rows = [tuple(_normalize(Fraction(q1.matrix.at(i, j))) for j in range(n)) for i in range(n)]
-    pairs: dict[Fraction, list] = {
-        key: [(v, tuple(sum(r * c for r, c in zip(row, v)) for row in rows)) for v in vecs]
-        for key, vecs in shells.items()
-    }
-    buckets = [pairs.get(Fraction(diag[j]), []) for j in range(n)]
+    products: dict[tuple, tuple] = {}
 
     order = sorted(range(n), key=lambda j: (len(buckets[j]), j))
     target = q2.matrix
@@ -127,33 +114,22 @@ def integral_equivalence(
     solution: list[Mat] = []
 
     def stats_now(notes=()) -> SearchStats:
-        return SearchStats(
-            lambda_bound=_normalize(lam),
-            caps=caps,
-            candidate_counts=tuple(len(buckets[j]) for j in range(n)),
-            column_order=tuple(order),
-            nodes=nodes,
-            notes=tuple(notes),
-        )
+        return SearchStats(_normalize(lam), caps, tuple(map(len, buckets)), tuple(order), nodes, tuple(notes))
 
     def place(depth: int) -> bool:
         nonlocal nodes
         j = order[depth]
         signs = (1,) if depth == 0 else (1, -1)
-        for v, qv in buckets[j]:
+        for v in buckets[j]:
             for sign in signs:
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     raise SearchBudgetExceeded(f"node budget {node_budget} exhausted", stats_now(("budget exhausted",)))
-                ok = True
-                for i, u, qu, s_u in assigned:
-                    ip = sum(a * b for a, b in zip(v, qu))
-                    if sign * s_u * ip != target.at(j, i):
-                        ok = False
-                        break
-                if not ok:
+                if any(sign * s_u * sum(map(mul, v, qu)) != target.at(j, i) for i, _, qu, s_u in assigned):
                     continue
-                assigned.append((j, v, qv, sign))
+                if v not in products:
+                    products[v] = tuple(sum(map(mul, row, v)) for row in rows)
+                assigned.append((j, v, products[v], sign))
                 if depth + 1 == n:
                     cols = [None] * n
                     for i, u, _, s_u in assigned:
@@ -165,11 +141,9 @@ def integral_equivalence(
                 assigned.pop()
         return False
 
-    found = place(0) if all(buckets[j] for j in range(n)) else False
-    if found:
-        b = solution[0]
-        _verify(q1, q2, b)
-        return EquivalenceWitness(b, stats_now())
-    notes = () if all(buckets[j] for j in range(n)) else ("some required value is not represented",)
-    return EquivalenceWitness(None, stats_now(notes))
+    complete = all(buckets)
+    if complete and place(0):
+        _verify(q1, q2, solution[0])
+        return EquivalenceWitness(solution[0], stats_now())
+    return EquivalenceWitness(None, stats_now(() if complete else ("some required value is not represented",)))
 

@@ -68,6 +68,12 @@ class GramForm:
         return self.matrix.rows
 
 
+def _form_det(q: GramForm) -> Fraction:
+    """det q from the gate's elimination of s * q: minors[n] / s^n."""
+    _, minors, s = q._elimination
+    return Fraction(minors[-1], s**q.dimension)
+
+
 def gram(l: Lattice) -> GramForm:
     return GramForm(l.basis.transpose() @ l.basis)
 

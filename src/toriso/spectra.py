@@ -40,8 +40,8 @@ from fractions import Fraction
 from operator import mul
 
 from .enumeration import rep_spectrum
-from .lattices import GramForm, is_even, level
-from .linalg import DimensionError, ShapeError, _denominator_scale, _normalize, det
+from .lattices import GramForm, _form_det, is_even, level
+from .linalg import DimensionError, ShapeError, _denominator_scale, _normalize
 
 
 class Verdict(enum.Enum):
@@ -137,7 +137,7 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
     scaled forms."""
     notes: list[str] = []
     dim = a.dimension if a.dimension == b.dimension else -1
-    det_a, det_b = det(a.matrix), det(b.matrix)
+    det_a, det_b = _form_det(a), _form_det(b)
     s = 1
     doubled = summed = False
 

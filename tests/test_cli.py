@@ -14,6 +14,7 @@ from toriso.decomposition import decompose
 from toriso.enumeration import rep_spectrum
 from toriso.isometry import integral_equivalence
 from toriso.lattices import double_form, dual
+from toriso.linalg import Mat
 from toriso.spectra import certify
 
 
@@ -251,6 +252,19 @@ def test_hostile_input_exits_2_without_traceback(demo_files, argv, problem):
     assert done.returncode == 2
     assert done.stderr.startswith("error:") and problem in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "bound, problem",
+    [("100000000", "grid values"), ("2000", "points tried")],
+    ids=["grid too long to list", "ball too large to walk"],
+)
+def test_rep_huge_bound_exits_2_instead_of_hanging(tmp_path, bound, problem):
+    form = tmp_path / "id4.txt"
+    form.write_text(formats.format_matrix(Mat.identity(4), kind="gram"))
+    done = run_process("rep", str(form), "--max", bound)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: enumeration budget exceeded") and problem in done.stderr
 
 
 def test_paper_triplet_passes(capsys):

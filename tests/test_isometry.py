@@ -1,8 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from isometry_oracles import eager_integral_equivalence
+from toriso import enumeration
 from toriso.isometry import (
     EquivalenceWitness,
     SearchBudgetExceeded,
@@ -149,3 +152,34 @@ def test_witness_type_is_frozen():
     assert not w.found
     with pytest.raises(Exception):
         w.matrix = Mat.identity(2)
+
+
+def test_search_matches_the_ball_and_filter_oracle():
+    # exact-shell walk and lazy products: the same stats and witnesses as
+    # shells filtered out of the whole ball with every product up front
+    forms = {i: triplet.gram_form(i) for i in (1, 2, 3)}
+    for i, j in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)):
+        got = integral_equivalence(forms[i], forms[j], lambda_bound=PUBLISHED_LAMBDA)
+        assert not got.found
+        assert got == eager_integral_equivalence(forms[i], forms[j], lambda_bound=PUBLISHED_LAMBDA)
+    rng = random.Random(20261018)
+    for q in forms.values():
+        for _ in range(20):
+            u = random_unimodular(rng, 6)
+            conj = GramForm(u.transpose() @ q.matrix @ u)
+            got = integral_equivalence(conj, q)
+            assert got.found
+            assert got == eager_integral_equivalence(conj, q)
+
+
+def test_search_does_not_enumerate_the_ball(monkeypatch):
+    def refuse(q, bound):
+        raise RuntimeError("integral_equivalence enumerated a ball")
+
+    real = enumeration.enumerate_up_to
+    for module in [m for name, m in sys.modules.items() if name.startswith("toriso")]:
+        if getattr(module, "enumerate_up_to", None) is real:
+            monkeypatch.setattr(module, "enumerate_up_to", refuse)
+    w = integral_equivalence(triplet.gram_form(1), triplet.gram_form(2), lambda_bound=PUBLISHED_LAMBDA)
+    assert not w.found and w.stats.nodes > 0
+    assert integral_equivalence(triplet.gram_form(3), triplet.gram_form(3)).found

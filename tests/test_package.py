@@ -1,4 +1,5 @@
-"""Package-level checks: the public surface and python -O safety."""
+"""Package-level checks: the public surface, python -O safety and exact
+arithmetic."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,23 @@ def test_no_assert_statements_in_src():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_no_floats_in_src():
+    # exact arithmetic only: no float literal, no float(), no math.sqrt,
+    # math.log or math.exp, whether called through math or imported
+    inexact = {"sqrt", "log", "exp"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((node.lineno, repr(node.value)))
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append((node.lineno, "float"))
+            elif isinstance(node, ast.Attribute) and node.attr in inexact:
+                if isinstance(node.value, ast.Name) and node.value.id == "math":
+                    found.append((node.lineno, f"math.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [(node.lineno, f"math.{a.name}") for a in node.names if a.name in inexact]
+        assert not found, f"{path.name} uses inexact arithmetic: {found}"

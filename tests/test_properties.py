@@ -1,6 +1,7 @@
-"""Property tests: enumeration against the box oracle, squared theta
-series, certify under unimodular maps, the monomial orbit of a code, and
-the eigenvalue bound and LLL against their oracles.
+"""Property tests: enumeration against the box oracle, the exact-shell
+walk against the filtered ball, squared theta series, certify under
+unimodular maps, the monomial orbit of a code, and the eigenvalue bound
+and LLL against their oracles.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
@@ -15,11 +16,12 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from isometry_oracles import ball_shells
 from linalg_oracles import box_oracle, recompute_lll, sturm_lower_bound
 from spectra_oracles import form_direct_sum
 from toriso import spectra
 from toriso.codes import LinearCode, canonical_monomial_form
-from toriso.enumeration import enumerate_up_to, rep_spectrum
+from toriso.enumeration import _shells, enumerate_up_to, rep_spectrum
 from toriso.lattices import GramForm
 from toriso.linalg import Mat, det, eigenvalue_lower_bound, lll_reduce
 from toriso.search import _orbit_ids, _pack, _pack_powers
@@ -143,3 +145,19 @@ def test_enumerate_up_to_is_the_box_oracle(q, t):
     # every value lies on rep_spectrum's grid and is counted with both signs
     counts = {0: 1, **{t: 2 * c for t, c in Counter(expected.values()).items()}}
     assert {t: c for t, c in rep_spectrum(GramForm(q), bound).entries if c} == counts
+
+
+@SETTINGS
+@given(st.one_of(forms(max_dim=4).map(lambda f: f.matrix), rational_forms()), st.data())
+def test_shells_are_the_filtered_ball(q, data):
+    # the largest drawn value keeps the ball within box half-widths 4
+    top = Fraction(16) / max(q.inverse().at(i, i) for i in range(q.rows))
+    value = st.sampled_from((1, 2, 3, 7)).flatmap(
+        lambda den: st.builds(Fraction, st.integers(-1, int(top * den)), st.just(den))
+    )
+    values = data.draw(st.lists(value, max_size=6))
+    # zero, a duplicate, and a value off every grid (the forms' denominators
+    # divide 36) above all the others, which sets the walk's bound
+    values += [Fraction(0), values[0] if values else Fraction(1), top + Fraction(1, 11)]
+    form = GramForm(q)
+    assert _shells(form, values) == ball_shells(form, values)
