@@ -29,7 +29,7 @@ from operator import mul
 
 from .enumeration import _to_ambient, enumerate_up_to
 from .lattices import GramForm, Lattice
-from .linalg import DimensionError, Mat, hnf, lattices_equal, lll_reduce
+from .linalg import DimensionError, Mat, _integer_rows, hnf, lattices_equal, lll_reduce
 
 
 class DecompositionError(RuntimeError):
@@ -63,8 +63,7 @@ def decompose_form(q: GramForm) -> Decomposition:
         raise DimensionError("cannot decompose an empty form")
     bound = max(q.matrix.at(i, i) for i in range(n))
     qm = q.matrix
-    s = q._elimination[2]
-    sq = [[int(s * x) for x in qm.row(i)] for i in range(n)]
+    sq, s = _integer_rows(qm)
     indec: list[tuple[tuple, tuple, int]] = []  # (vector, s*q*vector, s*norm)
     for v, norm in enumerate_up_to(q, bound):
         snorm = int(s * norm)

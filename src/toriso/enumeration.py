@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
-from .linalg import DimensionError, Mat, _normalize, _row_hnf_int
+from .linalg import DimensionError, Mat, _integer_rows, _normalize, _row_hnf_int
 from .lattices import GramForm, Lattice, LatticeError
 
 
@@ -221,9 +221,9 @@ def rep_spectrum(q: GramForm, bound) -> RepSpectrum:
     def emit(scaled: int, coords: list[int]):
         counts[scaled] = counts.get(scaled, 0) + 2
 
-    s, m, n = q._elimination[2], q.matrix, q.dimension
+    sq, s = _integer_rows(q.matrix)
     # gcd of the diagonal and doubled off-diagonal entries of s * q
-    grid = gcd(*(int((1 if i == j else 2) * s * m.at(i, j)) for i in range(n) for j in range(i, n)))
+    grid = gcd(*((1 if i == j else 2) * sq[i][j] for i in range(len(sq)) for j in range(i, len(sq))))
     cap = int(s * bound // 1)
     if grid and cap // grid > _WALK_BUDGET:
         raise ValueError(f"enumeration budget exceeded: {cap // grid} grid values up to {bound}, over {_WALK_BUDGET}")

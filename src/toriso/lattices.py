@@ -19,7 +19,7 @@ from .linalg import (
     Mat,
     RankError,
     ShapeError,
-    _denominator_scale,
+    _integer_rows,
     _positive_definite_data,
     det,
 )
@@ -106,11 +106,8 @@ def level(q: GramForm) -> int:
         raise ShapeError("level requires an integral form")
     if q.dimension == 0:
         return 1
-    inv = q.matrix.inverse()
-    d = _denominator_scale(inv.entries)
-    if all(d * inv.at(i, i) % 2 == 0 for i in range(inv.rows)):
-        return d
-    return 2 * d
+    rows, d = _integer_rows(q.matrix.inverse())
+    return d if all(rows[i][i] % 2 == 0 for i in range(q.dimension)) else 2 * d
 
 
 def _block_diag(a: Mat, b: Mat) -> Mat:

@@ -1,22 +1,26 @@
 """Exact rational matrices and the small linear-algebra kernel everything
 else is built on.
 
-All arithmetic is over Fraction; there is deliberately no float path.
-Rational input is cleared to integers by one common denominator
-(_denominator_scale), after which determinants, positive definiteness
-and the exact LDL^T factors all come from one fraction-free Bareiss
-elimination (Bareiss, Math. Comp. 22 (1968) 565-578).  Lattice bases come
-from a column-style Hermite normal form.  A certified eigenvalue lower
-bound L is one more positive-definiteness test: lambda_min(q) > L exactly
-when q - L*I is positive definite, which Sylvester's criterion decides on
-the same Bareiss elimination.
+Entries are Fraction; there is deliberately no float path.  Products,
+inverses and eliminations clear their rational input to integer rows by
+one common denominator (_integer_rows) and work in Python ints: products
+sum integer rows and divide by the product of the two denominators once
+per entry, and the inverse is a fraction-free Gauss-Jordan elimination
+on [s*m | I].  Determinants, positive definiteness and the exact LDL^T
+factors all come from one fraction-free Bareiss elimination (Bareiss,
+Math. Comp. 22 (1968) 565-578), whose every division is exact.  Lattice
+bases come from a column-style Hermite normal form.  A certified
+eigenvalue lower bound L is one more positive-definiteness test:
+lambda_min(q) > L exactly when q - L*I is positive definite, which
+Sylvester's criterion decides on the same Bareiss elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -105,20 +109,14 @@ class Mat:
         return all(x.denominator == 1 for x in self.entries)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        return Mat(self.cols, self.rows, tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols]))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, b = self, other
-        bt = b.transpose()
-        out = []
-        for i in range(a.rows):
-            ra = a.row(i)
-            for j in range(b.cols):
-                cb = bt.row(j)
-                out.append(sum((x * y for x, y in zip(ra, cb)), Fraction(0)))
-        return Mat(a.rows, b.cols, tuple(out))
+        a, sa = _integer_rows(self)
+        bt, sb = _integer_rows(other.transpose())
+        return Mat(self.rows, other.cols, _fractions((sum(map(mul, ra, cb)) for ra in a for cb in bt), sa * sb))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -139,26 +137,30 @@ class Mat:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise DimensionError("vector length mismatch")
-        vv = [_rat(x) for x in v]
-        return tuple(sum((a * b for a, b in zip(self.row(i), vv)), Fraction(0)) for i in range(self.rows))
+        a, sa = _integer_rows(self)
+        (iv,), sv = _integer_rows(Mat(1, len(v), tuple(_rat(x) for x in v)))
+        return _fractions((sum(map(mul, ra, iv)) for ra in a), sa * sv)
 
     def inverse(self) -> "Mat":
+        """Fraction-free Gauss-Jordan on [s*m | I], first nonzero pivot: the
+        right block ends as p * (s*m)^-1 for the last pivot p, so m^-1 is
+        s * (right block) / p.  Columns left of a pivot are never read
+        again and are not updated."""
         if not self.is_square:
             raise DimensionError("inverse of non-square matrix")
         n = self.rows
-        a = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        a, s = _integer_rows(self)
+        for i, row in enumerate(a):
+            row.extend(int(i == j) for j in range(n))
+        prev = 1
+        for k in range(n):
+            piv = next((r for r in range(k, n) if a[r][k]), None)
             if piv is None:
                 raise RankError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Mat.from_rows([row[n:] for row in a])
+            a[k], a[piv] = a[piv], a[k]
+            _bareiss_step(a, k, prev, [i for i in range(n) if i != k])
+            prev = a[k][k]
+        return Mat(n, n, _fractions((s * x for row in a for x in row[n:]), prev))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(min(self.rows, 4)))
@@ -181,26 +183,29 @@ def _normalize(x: Fraction):
 
 def _denominator_scale(entries: Iterable[Fraction]) -> int:
     """Least common multiple of the denominators of the entries."""
-    s = 1
-    for x in entries:
-        s = s * x.denominator // gcd(s, x.denominator)
-    return s
+    return lcm(*(x.denominator for x in entries))
 
 
 def _integer_rows(m: Mat) -> tuple[list[list[int]], int]:
     """Clear denominators: returns (rows of s * m, s), s least."""
     s = _denominator_scale(m.entries)
-    return [[int(x * s) for x in m.row(i)] for i in range(m.rows)], s
+    return [[x.numerator * (s // x.denominator) for x in m.row(i)] for i in range(m.rows)], s
 
 
-def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
-    """Eliminate column k below the pivot a[k][k] in place; prev is the
-    previous pivot, by which every update divides exactly."""
+def _fractions(values: Iterable[int], d: int) -> tuple[Fraction, ...]:
+    """Fraction(x, d) for each x; for d = 1 without the gcd."""
+    return tuple(map(Fraction, values)) if d == 1 else tuple(Fraction(x, d) for x in values)
+
+
+def _bareiss_step(a: list[list[int]], k: int, prev: int, rows: Iterable[int] | None = None) -> None:
+    """Eliminate column k from the given rows, by default those below the
+    pivot a[k][k], in place; prev is the previous pivot, by which every
+    update divides exactly."""
     pk, rk = a[k][k], a[k]
-    for i in range(k + 1, len(a)):
+    for i in range(k + 1, len(a)) if rows is None else rows:
         ri = a[i]
         aik = ri[k]
-        for j in range(k + 1, len(a)):
+        for j in range(k + 1, len(rk)):
             ri[j] = (ri[j] * pk - aik * rk[j]) // prev
         ri[k] = 0
 

@@ -1,6 +1,12 @@
-"""Test oracles for linalg and enumeration: the Sturm eigenvalue bound,
-the recompute-everything LLL and the Fraction rank ladder that the
+"""Test oracles for linalg and enumeration: the Fraction matrix product,
+matrix-vector product and Gauss-Jordan inverse, the Sturm eigenvalue
+bound, the recompute-everything LLL and the Fraction rank ladder that the
 library replaced, and a brute-force box scan of a quadratic-form ball.
+
+fraction_matmul, fraction_apply and fraction_inverse work entry by entry
+over Fraction, with no denominator clearing, where Mat's kernels take
+integer rows and a fraction-free Gauss-Jordan; equal entries are evidence
+that the clearing and the exact divisions lose nothing.
 
 sturm_lower_bound decides each bisection step by counting the roots of
 the characteristic polynomial in (0, mid] with a Sturm chain; it shares no
@@ -21,6 +27,46 @@ from math import isqrt
 
 from toriso.enumeration import VectorList, _ambient_candidates
 from toriso.linalg import DimensionError, Mat, RankError, _positive_definite_data
+
+
+def fraction_matmul(a, b):
+    """a @ b with every entry summed over Fraction."""
+    if a.cols != b.rows:
+        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    out = []
+    for i in range(a.rows):
+        ra = a.row(i)
+        for j in range(b.cols):
+            out.append(sum((x * y for x, y in zip(ra, b.column(j))), Fraction(0)))
+    return Mat(a.rows, b.cols, tuple(out))
+
+
+def fraction_apply(m, v):
+    """m times the column vector v, over Fraction."""
+    if len(v) != m.cols:
+        raise DimensionError("vector length mismatch")
+    vv = [Fraction(x) for x in v]
+    return tuple(sum((a * b for a, b in zip(m.row(i), vv)), Fraction(0)) for i in range(m.rows))
+
+
+def fraction_inverse(m):
+    """Gauss-Jordan inverse over Fraction, first nonzero pivot."""
+    if not m.is_square:
+        raise DimensionError("inverse of non-square matrix")
+    n = m.rows
+    a = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise RankError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return Mat(n, n, tuple(x for row in a for x in row[n:]))
 
 
 def char_poly(m):

@@ -1,10 +1,12 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from isometry_oracles import eager_integral_equivalence
+from linalg_oracles import fraction_apply
 from toriso import enumeration
 from toriso.isometry import (
     EquivalenceWitness,
@@ -14,7 +16,7 @@ from toriso.isometry import (
     integral_equivalence,
     norm_caps,
 )
-from toriso.lattices import GramForm
+from toriso.lattices import GramForm, double_form, level
 from toriso.linalg import Mat, det
 from toriso import triplet
 
@@ -183,3 +185,31 @@ def test_search_does_not_enumerate_the_ball(monkeypatch):
     w = integral_equivalence(triplet.gram_form(1), triplet.gram_form(2), lambda_bound=PUBLISHED_LAMBDA)
     assert not w.found and w.stats.nodes > 0
     assert integral_equivalence(triplet.gram_form(3), triplet.gram_form(3)).found
+
+
+def test_exact_rechecks_take_no_fraction_products(monkeypatch):
+    # the witness check, integral products and level run on integer rows
+    q = triplet.gram_form(2)
+    u = random_unimodular(random.Random(9), 6)
+    conj = GramForm(u.transpose() @ q.matrix @ u)
+    w = integral_equivalence(conj, q)
+    assert w.found
+    doubled = [double_form(triplet.gram_form(i)) for i in (1, 2, 3)]
+    levels = [level(d) for d in doubled]
+    image = fraction_apply(q.matrix, triplet.V1)
+    calls = Counter()
+    for name in ("__mul__", "__rmul__"):
+
+        def counted(a, b, real=getattr(Fraction, name), name=name):
+            calls[name] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) * Fraction(1, 3) == 2 * Fraction(1, 12)
+    assert calls == {"__mul__": 1, "__rmul__": 1}
+    calls.clear()
+    _verify(conj, q, w.matrix)
+    assert w.matrix.transpose() @ conj.matrix @ w.matrix == q.matrix
+    assert q.matrix.apply(triplet.V1) == image
+    assert [level(d) for d in doubled] == levels
+    assert not calls

@@ -1,7 +1,8 @@
 """Property tests: enumeration against the box oracle, the exact-shell
 walk against the filtered ball, squared theta series, certify under
-unimodular maps, the monomial orbit of a code, and the eigenvalue bound
-and LLL against their oracles.
+unimodular maps, the monomial orbit of a code, the eigenvalue bound, LLL
+and the Mat products and inverse against their oracles, and the Hermite
+normal form as a canonical lattice basis.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
@@ -17,13 +18,30 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isometry_oracles import ball_shells
-from linalg_oracles import box_oracle, recompute_lll, sturm_lower_bound
+from linalg_oracles import (
+    box_oracle,
+    fraction_apply,
+    fraction_inverse,
+    fraction_matmul,
+    recompute_lll,
+    sturm_lower_bound,
+)
 from spectra_oracles import form_direct_sum
 from toriso import spectra
 from toriso.codes import LinearCode, canonical_monomial_form
 from toriso.enumeration import _shells, enumerate_up_to, rep_spectrum
 from toriso.lattices import GramForm
-from toriso.linalg import Mat, det, eigenvalue_lower_bound, lll_reduce
+from toriso.linalg import (
+    DimensionError,
+    LinalgError,
+    Mat,
+    RankError,
+    det,
+    eigenvalue_lower_bound,
+    hnf,
+    lattices_equal,
+    lll_reduce,
+)
 from toriso.search import _orbit_ids, _pack, _pack_powers
 from toriso.spectra import Verdict, certify
 
@@ -161,3 +179,84 @@ def test_shells_are_the_filtered_ball(q, data):
     values += [Fraction(0), values[0] if values else Fraction(1), top + Fraction(1, 11)]
     form = GramForm(q)
     assert _shells(form, values) == ball_shells(form, values)
+
+
+rationals = st.one_of(st.integers(-9, 9).map(Fraction), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+def matrices(rows, cols, entry=rationals):
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(lambda e: Mat(rows, cols, tuple(e)))
+
+
+@st.composite
+def product_operands(draw):
+    """(a, b, v) with a r x c, b c x d and v of length c; any side may be 0."""
+    r, c, d = (draw(st.integers(0, 6)) for _ in range(3))
+    return draw(matrices(r, c)), draw(matrices(c, d)), draw(st.lists(rationals, min_size=c, max_size=c))
+
+
+@SETTINGS
+@given(product_operands())
+@example((Mat(0, 3, ()), Mat.identity(3), [1, 2, 3]))
+@example((Mat(2, 0, ()), Mat(0, 3, ()), []))
+@example((Mat.identity(2), Mat(2, 0, ()), [1, Fraction(1, 2)]))
+def test_products_are_the_fraction_oracles(operands):
+    a, b, v = operands
+    assert a @ b == fraction_matmul(a, b)
+    assert a.apply(v) == fraction_apply(a, v)
+
+
+@st.composite
+def inverse_inputs(draw):
+    """Square rational matrices, a fifth of them singular, and non-square ones."""
+    n = draw(st.integers(0, 6))
+    m = draw(matrices(n, draw(st.one_of(st.just(n), st.integers(0, 6)))))
+    if m.is_square and n and draw(st.integers(0, 4)) == 0:
+        # the last row a combination of the others
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        last = [sum((c * x for c, x in zip(coeffs, m.column(j))), Fraction(0)) for j in range(n)]
+        m = Mat(n, n, m.entries[: n * (n - 1)] + tuple(last))
+    return m
+
+
+def _inverse_or_error(inverse, m):
+    try:
+        return inverse(m)
+    except LinalgError as e:
+        return type(e)
+
+
+@SETTINGS
+@given(inverse_inputs())
+@example(Mat(0, 0, ()))
+@example(Mat.from_rows([[1, 2], [2, 4]]))
+@example(Mat(2, 3, (Fraction(1),) * 6))
+def test_inverse_is_the_fraction_oracle(m):
+    got = _inverse_or_error(Mat.inverse, m)
+    assert got == _inverse_or_error(fraction_inverse, m)
+    if not m.is_square:
+        assert got is DimensionError
+    elif det(m) == 0:
+        assert got is RankError
+
+
+@SETTINGS
+@given(st.data())
+def test_hnf_is_the_canonical_basis(data):
+    r, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    m = data.draw(matrices(r, c, st.integers(-9, 9).map(Fraction)))
+    h = hnf(m)
+    assert hnf(m @ data.draw(unimodular(c))) == h
+    # pivots strictly descend the rows, are positive, and reduce the
+    # entries of the earlier columns in their row into [0, pivot)
+    cols = [h.column(j) for j in range(h.cols)]
+    pivots = [next(i for i, x in enumerate(col) if x) for col in cols]
+    assert pivots == sorted(set(pivots))
+    for j, p in enumerate(pivots):
+        assert cols[j][p] > 0
+        assert all(0 <= cols[k][p] < cols[j][p] for k in range(j))
+    # lattices_equal clears a common denominator without changing the answer
+    den = Fraction(1, data.draw(st.integers(1, 6)))
+    other = data.draw(matrices(r, data.draw(st.integers(1, 5)), st.integers(-9, 9).map(Fraction)))
+    assert lattices_equal(m.scaled(den), (m @ data.draw(unimodular(c))).scaled(den))
+    assert lattices_equal(m.scaled(den), other.scaled(den)) == (hnf(other) == h)
