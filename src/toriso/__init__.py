@@ -4,8 +4,10 @@ Lattices with exact rational bases, quadratic-form spectra, certified
 isospectrality and non-isometry checks, orthogonal decomposition, and the
 mod-q code lift used to search for isospectral families.
 
-``__all__`` is the public surface: everything user-facing is
-re-exported here, and nothing is exported that only tests need.
+``__all__`` is the public surface: every name imported below, read off
+the module's globals (names starting with "_" and modules left out), so
+the imports are the one list of it.  Nothing is exported that only tests
+need.
 ``toriso.triplet`` holds the bundled six-dimensional triplet and
 ``toriso.formats`` the text and JSON serializers used by the command
 line interface.
@@ -21,6 +23,8 @@ verdict.  The prime-modulus branch of the canonical code rows stays next
 to the Hermite-form branch, because the modulus selects it and it is
 several times faster on the orbits verify_tuple walks.
 """
+
+import types as _types
 
 from .codes import (
     CodeError,
@@ -91,61 +95,6 @@ from .spectra import IsoCertificate, Verdict, certify, hecke_threshold, mu0
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CodeError",
-    "CollisionTuple",
-    "Component",
-    "Decomposition",
-    "DecompositionError",
-    "DimensionError",
-    "EquivalenceWitness",
-    "FormatError",
-    "GramForm",
-    "IsoCertificate",
-    "Lattice",
-    "LatticeError",
-    "LinalgError",
-    "LinearCode",
-    "Mat",
-    "NotPositiveDefiniteError",
-    "RankError",
-    "RepSpectrum",
-    "SearchBudgetExceeded",
-    "SearchReport",
-    "SearchStats",
-    "ShapeError",
-    "TupleVerificationError",
-    "Verdict",
-    "VectorList",
-    "canonical_monomial_form",
-    "certify",
-    "choir_family",
-    "decompose",
-    "det",
-    "double_form",
-    "dual",
-    "eigenvalue_lower_bound",
-    "enumerate_up_to",
-    "equal_weight_distribution",
-    "gram",
-    "hecke_threshold",
-    "hnf",
-    "independent_ladder",
-    "integral_equivalence",
-    "is_even",
-    "is_irreducible",
-    "lattices_equal",
-    "ldl",
-    "level",
-    "lift",
-    "lll_reduce",
-    "mu0",
-    "norm_caps",
-    "project",
-    "rep_spectrum",
-    "run_search",
-    "scale",
-    "shortest_vectors",
-    "verify_tuple",
-    "weight_distribution",
-]
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -19,52 +19,39 @@ from . import formats, triplet
 from .codes import CodeError, lift, project, weight_distribution
 from .decomposition import DecompositionError, decompose
 from .enumeration import rep_spectrum
-from .formats import FormatError
 from .isometry import SearchBudgetExceeded, integral_equivalence
-from .lattices import GramForm, Lattice, LatticeError
-from .linalg import DimensionError, Mat, ShapeError, lattices_equal
+from .lattices import GramForm, Lattice, dual
+from .linalg import Mat, lattices_equal
 from .search import TupleVerificationError, run_search
 from .spectra import Verdict, certify
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _emit_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _show(args, value, text, doc) -> None:
+    """Write doc(value) as a JSON document under --json, else text(value)."""
+    sys.stdout.write(json.dumps(doc(value), indent=2) + "\n" if args.json else text(value))
 
 
 def _form_from_file(path: str) -> GramForm:
-    return GramForm(formats.parse_matrix(_read(path)))
+    return GramForm(formats.parse_matrix(Path(path).read_text()))
 
 
 def _lattice_from_file(path: str) -> Lattice:
-    return Lattice(formats.parse_matrix(_read(path)))
+    return Lattice(formats.parse_matrix(Path(path).read_text()))
+
+
+def _lattice_text(basis: Mat) -> str:
+    return formats.format_matrix(basis, kind="lattice")
 
 
 def _cmd_rep(args) -> int:
-    form = _form_from_file(args.form)
-    spectrum = rep_spectrum(form, formats._parse_entry(args.max))
-    if args.json:
-        _emit_json(formats.json_spectrum(spectrum))
-    else:
-        _emit(formats.format_spectrum(spectrum))
+    spectrum = rep_spectrum(_form_from_file(args.form), formats._parse_entry(args.max))
+    _show(args, spectrum, formats.format_spectrum, formats.json_spectrum)
     return 0
 
 
 def _cmd_isospec(args) -> int:
-    a = _form_from_file(args.form_a)
-    b = _form_from_file(args.form_b)
-    cert = certify(a, b, max_compare_t=args.max_t)
-    if args.json:
-        _emit_json(formats.certificate_json(cert))
-    else:
-        _emit(formats.certificate_text(cert))
+    cert = certify(_form_from_file(args.form_a), _form_from_file(args.form_b), max_compare_t=args.max_t)
+    _show(args, cert, formats.certificate_text, formats.certificate_json)
     return 0 if cert.verdict is Verdict.ISOSPECTRAL else 1
 
 
@@ -73,61 +60,38 @@ def _cmd_isometry(args) -> int:
     b = _form_from_file(args.form_b)
     lam = formats._parse_entry(args.lambda_bound) if args.lambda_bound else None
     witness = integral_equivalence(a, b, lambda_bound=lam, node_budget=args.node_budget)
-    if args.json:
-        _emit_json(formats.witness_json(witness))
-        return 0 if witness.found else 1
-    if witness.found:
-        _emit(formats.format_matrix(witness.matrix))
-        return 0
-    _emit(formats.witness_text(witness))
-    return 1
+
+    def text(w):
+        return formats.format_matrix(w.matrix) if w.found else formats.witness_text(w)
+
+    _show(args, witness, text, formats.witness_json)
+    return 0 if witness.found else 1
 
 
 def _cmd_decompose(args) -> int:
-    dec = decompose(_lattice_from_file(args.lattice))
-    if args.json:
-        _emit_json(formats.decomposition_json(dec))
-    else:
-        _emit(formats.decomposition_text(dec))
+    _show(args, decompose(_lattice_from_file(args.lattice)), formats.decomposition_text, formats.decomposition_json)
     return 0
 
 
 def _cmd_dual(args) -> int:
-    from .lattices import dual
-
-    d = dual(_lattice_from_file(args.lattice))
-    if args.json:
-        _emit_json(formats.json_matrix(d.basis))
-    else:
-        _emit(formats.format_matrix(d.basis, kind="lattice"))
+    _show(args, dual(_lattice_from_file(args.lattice)).basis, _lattice_text, formats.json_matrix)
     return 0
 
 
 def _cmd_lift(args) -> int:
-    code = formats.parse_code(_read(args.code))
-    lat = lift(code)
-    if args.json:
-        _emit_json(formats.json_matrix(lat.basis))
-    else:
-        _emit(formats.format_matrix(lat.basis, kind="lattice"))
+    lat = lift(formats.parse_code(Path(args.code).read_text()))
+    _show(args, lat.basis, _lattice_text, formats.json_matrix)
     return 0
 
 
 def _cmd_project(args) -> int:
-    code = project(_lattice_from_file(args.lattice), args.q)
-    if args.json:
-        _emit_json(formats.json_code(code))
-    else:
-        _emit(formats.format_code(code))
+    _show(args, project(_lattice_from_file(args.lattice), args.q), formats.format_code, formats.json_code)
     return 0
 
 
 def _cmd_weightdist(args) -> int:
-    dist = weight_distribution(formats.parse_code(_read(args.code)))
-    if args.json:
-        _emit_json(formats.weight_distribution_json(dist))
-    else:
-        _emit(formats.weight_distribution_text(dist))
+    dist = weight_distribution(formats.parse_code(Path(args.code).read_text()))
+    _show(args, dist, formats.weight_distribution_text, formats.weight_distribution_json)
     return 0
 
 
@@ -149,10 +113,7 @@ def _cmd_codesearch(args) -> int:
         print(f"error: {exc}{where}", file=sys.stderr)
         return 2
     formats.write_search_results(report, args.out)
-    if args.json:
-        _emit_json(formats.search_report_json(report))
-    else:
-        _emit(formats.search_report_text(report))
+    _show(args, report, formats.search_report_text, formats.search_report_json)
     return 0
 
 
@@ -196,15 +157,16 @@ def _cmd_paper_triplet(args) -> int:
         ("irreducibility", irr_status),
         ("code-correspondence", code_status),
     )
-    if args.json:
-        doc = {
+
+    def doc(stages):
+        return {
             "stages": {name: status for name, status in stages},
             "isospectrality": {f"{a},{b}": formats.certificate_json(c) for (a, b), c in certs.items()},
             "non_isometry": {f"{a},{b}": formats.witness_json(w) for (a, b), w in witnesses.items()},
             "irreducibility": {str(i): formats.decomposition_json(d) for i, d in decs.items()},
         }
-        _emit_json(doc)
-    else:
+
+    def text(stages):
         lines = []
         for name, status in stages:
             lines.append(f"{name}: {status}")
@@ -223,7 +185,9 @@ def _cmd_paper_triplet(args) -> int:
                     lines.append(f"  lattice {i}: {len(d.components)} component(s)")
             else:
                 lines.append(f"  codes 1 2 3 at q = {triplet.CODE_Q}: round trip {'ok' if code_ok else 'failed'}")
-        _emit("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
+
+    _show(args, stages, text, doc)
 
     if any(status == "FAIL" for _, status in stages):
         return 3
@@ -301,19 +265,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, LatticeError, ShapeError, DimensionError, CodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SearchBudgetExceeded as exc:
         print(f"error: node budget exceeded ({exc.stats.nodes} nodes)", file=sys.stderr)
         return 2
     except (TupleVerificationError, DecompositionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # every library input error (formats, lattices, linalg, codes) is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,8 @@ re-check of the scan's inequivalence verdict, so it must not share code
 with the scan.  _canonical_data keeps a prime-modulus branch
 (_rref_mod_prime) next to the general Hermite-form branch: the modulus
 selects the branch, both give the same rows where both apply, and the
-field branch is 3-4 times faster on the orbits verify_tuple walks.
+field branch is 3-4 times faster on the orbits verify_tuple walks.  Only
+moduli below 2**15 take it, because its primality test is trial division.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 from math import prod
 
 from .lattices import Lattice, LatticeError
-from .linalg import Mat, ShapeError, hnf
+from .linalg import Mat, ShapeError, _row_hnf_int, hnf
 
 
 class CodeError(ValueError):
@@ -71,15 +72,13 @@ def _rref_mod_prime(q: int, rows, n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=4096)
 def _canonical_data(modulus: int, length: int, rows: tuple[tuple[int, ...], ...]):
-    """Canonical rows and per-row coefficient spans.  Prime moduli go
-    through reduced echelon form over the field; the general case reads
+    """Canonical rows and per-row coefficient spans.  Primes below 2**15
+    go through reduced echelon form over the field; the general case reads
     the same data off the stacked Hermite form of [rows; modulus * I],
     and the two agree when both apply."""
-    if _is_prime(modulus):
+    if modulus < 2**15 and _is_prime(modulus):
         canon = _rref_mod_prime(modulus, rows, length)
         return canon, tuple(modulus for _ in canon)
-    from .linalg import _row_hnf_int
-
     stacked = [list(r) for r in rows] + [
         [modulus * int(i == j) for j in range(length)] for i in range(length)
     ]

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
-from .linalg import DimensionError, Mat, _integer_rows, _normalize, _row_hnf_int
+from .linalg import DimensionError, Mat, _integer_rows, _normalize, _row_hnf_int, lll_reduce
 from .lattices import GramForm, Lattice, LatticeError
 
 
@@ -76,9 +76,6 @@ class RepSpectrum:
     step: Fraction | int
     entries: tuple[tuple[Fraction | int, int], ...]
 
-    def items(self) -> tuple[tuple[Fraction | int, int], ...]:
-        return self.entries
-
     def count_at(self, value) -> int:
         value = Fraction(value)
         if value < 0 or value > self.bound:
@@ -87,9 +84,6 @@ class RepSpectrum:
             if t == value:
                 return c
         return 0
-
-    def total(self) -> int:
-        return sum(c for _, c in self.entries)
 
 
 _WALK_BUDGET = 2_000_000  # points one walk may try at coordinate 0
@@ -244,8 +238,6 @@ def _ambient_candidates(l: Lattice, pick: Callable):
     reduced Gram matrix): min reaches every minimal vector, since each
     reduced basis vector is a lattice vector; max reaches a full-rank
     vector set.  The coordinates are the integer ones in that basis."""
-    from .linalg import lll_reduce
-
     reduced = lll_reduce(l.basis)
     q = GramForm(reduced.transpose() @ reduced)
     bound = pick(q.matrix.at(i, i) for i in range(q.dimension))

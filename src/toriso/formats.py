@@ -12,10 +12,15 @@ become "a/b" strings).
 
 from __future__ import annotations
 
+import itertools
+import json
 import re
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
-from .codes import LinearCode
+from .codes import CodeError, LinearCode
+from .lattices import gram
 from .linalg import Mat
 
 _ENTRY_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
@@ -43,14 +48,13 @@ def _parse_entry(token: str) -> Fraction:
         raise FormatError(f"zero denominator in {token!r}") from None
 
 
-def format_value(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def json_value(x):
     f = Fraction(x)
     return f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def format_value(x) -> str:
+    return str(json_value(x))
 
 
 def parse_matrix(text: str) -> Mat:
@@ -109,8 +113,6 @@ def parse_code(text: str) -> LinearCode:
         if any(not 0 <= x < q for x in row):
             raise FormatError(f"code entry out of range [0, {q}) in {line!r}")
         rows.append(row)
-    from .codes import CodeError
-
     try:
         return LinearCode(q, n, tuple(rows))
     except CodeError as exc:
@@ -129,14 +131,14 @@ def json_code(c: LinearCode):
 
 
 def format_spectrum(spectrum) -> str:
-    return "".join(f"{format_value(t)}\t{count}\n" for t, count in spectrum.items())
+    return "".join(f"{format_value(t)}\t{count}\n" for t, count in spectrum.entries)
 
 
 def json_spectrum(spectrum):
     return {
         "bound": json_value(spectrum.bound),
         "step": json_value(spectrum.step),
-        "entries": [[json_value(t), count] for t, count in spectrum.items()],
+        "entries": [[json_value(t), count] for t, count in spectrum.entries],
     }
 
 
@@ -260,20 +262,11 @@ def decomposition_json(dec):
 
 
 def weight_distribution_text(dist) -> str:
-    lines = []
-    seen = {}
-    for sig in dist:
-        seen[sig] = seen.get(sig, 0) + 1
-    for sig, count in sorted(seen.items()):
-        lines.append(",".join(str(x) for x in sig) + f"\t{count}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(map(str, sig)) + f"\t{count}" for sig, count in sorted(Counter(dist).items())) + "\n"
 
 
 def weight_distribution_json(dist):
-    seen = {}
-    for sig in dist:
-        seen[sig] = seen.get(sig, 0) + 1
-    return {"signatures": [[list(sig), count] for sig, count in sorted(seen.items())]}
+    return {"signatures": [[list(sig), count] for sig, count in sorted(Counter(dist).items())]}
 
 
 def search_report_text(report) -> str:
@@ -324,16 +317,10 @@ def search_report_json(report):
 def write_search_results(report, outdir) -> None:
     """Results directory: manifest plus one subdirectory per tuple with
     code, lattice, and gram files and the pairwise verification reports."""
-    from pathlib import Path
-
-    from .lattices import gram
-
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").write_text(search_report_text(report))
-    import json as _json
-
-    (out / "manifest.json").write_text(_json.dumps(search_report_json(report), indent=2) + "\n")
+    (out / "manifest.json").write_text(json.dumps(search_report_json(report), indent=2) + "\n")
     for idx, tup in enumerate(report.collisions):
         tdir = out / f"tuple_{idx:03d}"
         tdir.mkdir(exist_ok=True)
@@ -342,11 +329,8 @@ def write_search_results(report, outdir) -> None:
         for li, lat in enumerate(tup.lattices):
             (tdir / f"lattice_{li}.txt").write_text(format_matrix(lat.basis, kind="lattice"))
             (tdir / f"gram_{li}.txt").write_text(format_matrix(gram(lat).matrix, kind="gram"))
-        pair = 0
-        for i in range(len(tup.codes)):
-            for j in range(i + 1, len(tup.codes)):
-                if tup.certificates:
-                    (tdir / f"certificate_{i}_{j}.txt").write_text(certificate_text(tup.certificates[pair]))
-                if tup.pairwise:
-                    (tdir / f"isometry_{i}_{j}.txt").write_text(witness_text(tup.pairwise[pair]))
-                pair += 1
+        for pair, (i, j) in enumerate(itertools.combinations(range(len(tup.codes)), 2)):
+            if tup.certificates:
+                (tdir / f"certificate_{i}_{j}.txt").write_text(certificate_text(tup.certificates[pair]))
+            if tup.pairwise:
+                (tdir / f"isometry_{i}_{j}.txt").write_text(witness_text(tup.pairwise[pair]))

@@ -111,7 +111,6 @@ def integral_equivalence(
     target = q2.matrix
     nodes = 0
     assigned: list[tuple[int, tuple, tuple, int]] = []  # (column, vec, q1*vec, sign)
-    solution: list[Mat] = []
 
     def stats_now(notes=()) -> SearchStats:
         return SearchStats(_normalize(lam), caps, tuple(map(len, buckets)), tuple(order), nodes, tuple(notes))
@@ -130,20 +129,16 @@ def integral_equivalence(
                 if v not in products:
                     products[v] = tuple(sum(map(mul, row, v)) for row in rows)
                 assigned.append((j, v, products[v], sign))
-                if depth + 1 == n:
-                    cols = [None] * n
-                    for i, u, _, s_u in assigned:
-                        cols[i] = [s_u * x for x in u]
-                    solution.append(Mat.from_columns(cols))
-                    return True
-                if place(depth + 1):
+                if depth + 1 == n or place(depth + 1):
                     return True
                 assigned.pop()
         return False
 
     complete = all(buckets)
     if complete and place(0):
-        _verify(q1, q2, solution[0])
-        return EquivalenceWitness(solution[0], stats_now())
+        # the column indices are distinct, so sorting orders by column alone
+        witness = Mat.from_columns([s_u * x for x in u] for _, u, _, s_u in sorted(assigned))
+        _verify(q1, q2, witness)
+        return EquivalenceWitness(witness, stats_now())
     return EquivalenceWitness(None, stats_now(() if complete else ("some required value is not represented",)))
 

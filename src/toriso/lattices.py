@@ -39,7 +39,7 @@ class Lattice:
     def __post_init__(self):
         if not self.basis.is_square:
             raise DimensionError("lattice basis must be square (full rank)")
-        if self.basis.rows > 0 and det(self.basis) == 0:
+        if det(self.basis) == 0:
             raise RankError("lattice basis is singular")
 
     @property
@@ -80,8 +80,6 @@ def gram(l: Lattice) -> GramForm:
 
 def dual(l: Lattice) -> Lattice:
     """Dual lattice, spanned by the inverse-transpose basis."""
-    if l.dimension == 0:
-        return l
     return Lattice(l.basis.inverse().transpose())
 
 
@@ -104,8 +102,6 @@ def level(q: GramForm) -> int:
     """
     if not q.matrix.is_integral():
         raise ShapeError("level requires an integral form")
-    if q.dimension == 0:
-        return 1
     rows, d = _integer_rows(q.matrix.inverse())
     return d if all(rows[i][i] % 2 == 0 for i in range(q.dimension)) else 2 * d
 
@@ -117,8 +113,6 @@ def _block_diag(a: Mat, b: Mat) -> Mat:
         rows.append(list(a.row(i)) + [Fraction(0)] * m)
     for i in range(m):
         rows.append([Fraction(0)] * n + list(b.row(i)))
-    if not rows:
-        return Mat(0, 0, ())
     return Mat.from_rows(rows)
 
 

@@ -118,17 +118,6 @@ class Mat:
         bt, sb = _integer_rows(other.transpose())
         return Mat(self.rows, other.cols, _fractions((sum(map(mul, ra, cb)) for ra in a for cb in bt), sa * sb))
 
-    def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in addition")
-        return Mat(self.rows, self.cols, tuple(x + y for x, y in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, tuple(-x for x in self.entries))
-
     def scaled(self, s) -> "Mat":
         s = _rat(s)
         return Mat(self.rows, self.cols, tuple(s * x for x in self.entries))
@@ -152,14 +141,9 @@ class Mat:
         a, s = _integer_rows(self)
         for i, row in enumerate(a):
             row.extend(int(i == j) for j in range(n))
-        prev = 1
-        for k in range(n):
-            piv = next((r for r in range(k, n) if a[r][k]), None)
-            if piv is None:
-                raise RankError("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            _bareiss_step(a, k, prev, [i for i in range(n) if i != k])
-            prev = a[k][k]
+        sign, prev = _pivoting_elimination(a, n, jordan=True)
+        if not sign:
+            raise RankError("matrix is singular")
         return Mat(n, n, _fractions((s * x for row in a for x in row[n:]), prev))
 
     def __repr__(self) -> str:
@@ -210,26 +194,33 @@ def _bareiss_step(a: list[list[int]], k: int, prev: int, rows: Iterable[int] | N
         ri[k] = 0
 
 
+def _pivoting_elimination(a: list[list[int]], n: int, jordan: bool = False) -> tuple[int, int]:
+    """Bareiss elimination of the first n columns of the integer rows a, in
+    place, swapping up the first nonzero entry of each column as its
+    pivot; jordan clears the rows above each pivot as well.  Returns
+    (sign of the row permutation, last pivot), the pivot being the
+    determinant of the permuted leading n x n block; sign is 0 when that
+    block is singular."""
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return 0, 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        _bareiss_step(a, k, prev, [i for i in range(n) if i != k] if jordan else None)
+        prev = a[k][k]
+    return sign, prev
+
+
 def det(m: Mat) -> Fraction:
     """Determinant by fraction-free Bareiss elimination."""
     if not m.is_square:
         raise DimensionError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
     a, s = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        _bareiss_step(a, k, prev)
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], s**n)
+    sign, prev = _pivoting_elimination(a, m.rows)
+    return Fraction(sign * prev, s**m.rows)
 
 
 def fraction_free_upper(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -330,8 +321,6 @@ def hnf(m: Mat) -> Mat:
     """
     if not m.is_integral():
         raise ShapeError("hnf requires integer entries")
-    if m.rows == 0 or m.cols == 0:
-        return Mat(m.rows, 0, ())
     rows_t = [[int(m.at(i, j)) for i in range(m.rows)] for j in range(m.cols)]
     reduced = _row_hnf_int(rows_t)
     if not reduced:

@@ -261,15 +261,9 @@ def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
     packed = _pack(g, powers)
     # each count row as one opaque byte string: equal keys are equal rows
     rows = dist.view(np.dtype((np.void, bins * dist.itemsize))).ravel()
-    uniq, inverse = np.unique(rows, return_inverse=True)
-    out = {}
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(len(uniq)))
-    boundaries = np.append(boundaries, m)
-    for u in range(len(uniq)):
-        members = packed[order[boundaries[u] : boundaries[u + 1]]]
-        out[uniq[u].tobytes()] = np.sort(members)
-    return out
+    uniq, inverse, counts = np.unique(rows, return_inverse=True, return_counts=True)
+    groups = np.split(packed[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
+    return {u.tobytes(): np.sort(g) for u, g in zip(uniq, groups)}
 
 
 def _scan_partition_job(args):
@@ -422,6 +416,8 @@ def run_search(
         raise CodeError("search requires a prime modulus")
     if min_tuple < 2:
         raise CodeError("min_tuple must be at least 2")
+    if jobs < 1:
+        raise CodeError("jobs must be at least 1")
     # the systematic family holds exactly q**(k*(n-k)) codes and "all" at
     # least as many; bound that before any pattern is built, in logarithms
     # so no huge integer is formed (the exact count is checked below)
@@ -456,9 +452,11 @@ def run_search(
     pending = [(key, args) for key, args in partitions if key not in done]
 
     arg_list = [a for _, a in pending]
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and pending else None
+    # a fork pool starts all its workers at the first submit
+    workers = min(jobs, len(pending), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        scans = _pool_scans(pool, jobs, arg_list) if pool else map(_scan_partition_job, arg_list)
+        scans = _pool_scans(pool, workers, arg_list) if pool else map(_scan_partition_job, arg_list)
         for (key, _), result in zip(pending, scans):
             done[key] = result
             if checkpoint_path:

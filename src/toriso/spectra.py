@@ -164,8 +164,6 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
         raise DimensionError("cannot certify empty forms")
 
     s = _denominator_scale(a.matrix.entries + b.matrix.entries)
-    qa = GramForm(a.matrix.scaled(s)) if s != 1 else a
-    qb = GramForm(b.matrix.scaled(s)) if s != 1 else b
     if s != 1:
         notes.append(f"cleared denominators with scale {s}")
 
@@ -173,11 +171,12 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
         notes.append("determinants differ")
         return finish(Verdict.NOT_ISOSPECTRAL)
 
-    if not (is_even(qa) and is_even(qb)):
-        qa = GramForm(qa.matrix.scaled(2))
-        qb = GramForm(qb.matrix.scaled(2))
-        doubled = True
+    # s * q is integral, so it is even exactly when its diagonal is
+    doubled = any(s * q.matrix.at(i, i) % 2 for q in (a, b) for i in range(dim))
+    if doubled:
         notes.append("doubled both forms to reach even entries")
+    c = 2 * s if doubled else s
+    qa, qb = (a, b) if c == 1 else (GramForm(a.matrix.scaled(c)), GramForm(b.matrix.scaled(c)))
 
     # no certificate of the raw pre-scan carries the levels, so they can
     # come first and fix the one enumeration bound each form needs

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .codes import LinearCode
+from .lattices import GramForm, Lattice
 from .linalg import Mat
 
 # Basis matrices; columns generate the lattices.
@@ -116,22 +118,16 @@ def gram_matrix(i: int) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def lattice(i: int):
-    from .lattices import Lattice
-
+def lattice(i: int) -> Lattice:
     return Lattice(basis_matrix(i))
 
 
 @lru_cache(maxsize=None)
-def gram_form(i: int):
-    from .lattices import GramForm
-
+def gram_form(i: int) -> GramForm:
     return GramForm(gram_matrix(i))
 
 
 @lru_cache(maxsize=None)
-def code(i: int):
-    from .codes import LinearCode
-
+def code(i: int) -> LinearCode:
     rows = {1: C1_GENERATOR_ROWS, 2: C2_GENERATOR_ROWS, 3: C3_GENERATOR_ROWS}[i]
     return LinearCode(CODE_Q, 6, rows)

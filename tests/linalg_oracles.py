@@ -85,7 +85,7 @@ def char_poly(m):
         ck = -trace / k
         coeffs.append(ck)
         if k < n:
-            mk = mk + Mat.identity(n).scaled(ck)
+            mk = Mat(n, n, tuple(x + ck if i % (n + 1) == 0 else x for i, x in enumerate(mk.entries)))
     return tuple(coeffs)
 
 

@@ -21,8 +21,8 @@ def form_direct_sum(a, b):
 
 
 def _spectra_differ(a, b, cap):
-    ta = dict(rep_spectrum(a, cap).items())
-    tb = dict(rep_spectrum(b, cap).items())
+    ta = dict(rep_spectrum(a, cap).entries)
+    tb = dict(rep_spectrum(b, cap).entries)
     values = sorted(set(ta) | set(tb), key=Fraction)
     table = tuple((_normalize(Fraction(t)), ta.get(t, 0), tb.get(t, 0)) for t in values)
     diffs = [t for t, ra, rb in table if ra != rb]

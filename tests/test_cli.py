@@ -254,6 +254,30 @@ def test_hostile_input_exits_2_without_traceback(demo_files, argv, problem):
     assert "Traceback" not in done.stderr
 
 
+def test_codesearch_jobs_below_one_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "codesearch", "--q", "3", "--n", "4", "--k", "2", "--jobs", "0", "--out", str(tmp_path / "x"))
+    assert code == 2 and out == ""
+    assert err == "error: jobs must be at least 1\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_huge_prime_modulus_does_not_hang(tmp_path):
+    # trial division would test about 10**9 divisors of this prime; the
+    # expected outputs are written out so that no step here runs in-process
+    q = 10**18 + 3
+    code = tmp_path / "code.txt"
+    code.write_text(f"{q} 3 2\n1 0 5\n0 1 7\n")
+    basis = f"# lattice\n3 3\n1 0 0\n0 1 0\n5 7 {q}\n"
+    done = run_process("lift", str(code), timeout=30)
+    assert (done.returncode, done.stdout) == (0, basis)
+    lattice = tmp_path / "lattice.txt"
+    lattice.write_text(basis)
+    done = run_process("project", str(lattice), "--q", str(q), timeout=30)
+    assert (done.returncode, done.stdout) == (0, f"{q} 3 2\n1 0 5\n0 1 7\n")
+    done = run_process("weightdist", str(code), timeout=30)
+    assert done.returncode == 2 and "above the cap" in done.stderr
+
+
 @pytest.mark.parametrize(
     "bound, problem",
     [("100000000", "grid values"), ("2000", "points tried")],

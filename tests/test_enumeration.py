@@ -100,31 +100,31 @@ def test_rep_spectrum_counts_match_oracle():
         tally: dict[Fraction, int] = {}
         for _, norm in oracle.items():
             tally[norm] = tally.get(norm, 0) + 2
-        for t, c in spec.items():
+        for t, c in spec.entries:
             if t == 0:
                 assert c == 1
             else:
                 assert c == tally.get(Fraction(t), 0)
-        assert sum(tally.values()) + 1 == spec.total()
+        assert sum(tally.values()) + 1 == sum(c for _, c in spec.entries)
 
 
 def test_rep_spectrum_counts_are_even_above_zero():
     spec = rep_spectrum(triplet.gram_form(2), 12)
-    for t, c in spec.items():
+    for t, c in spec.entries:
         if t != 0:
             assert c % 2 == 0
 
 
 def test_rep_spectrum_value_grid_is_complete():
     spec = rep_spectrum(GramForm(Mat.identity(2).scaled(2)), 9)
-    assert [t for t, _ in spec.items()] == [0, 2, 4, 6, 8]
+    assert [t for t, _ in spec.entries] == [0, 2, 4, 6, 8]
 
 
 def test_rep_spectrum_of_doubled_form_matches_frozen_table():
     spec = rep_spectrum(GramForm(triplet.gram_matrix(1).scaled(2)), triplet.DOUBLED_THRESHOLD)
-    table = dict(spec.items())
+    table = dict(spec.entries)
     assert table == {t: c for t, c in triplet.REP_TABLE_DOUBLED.items()}
-    assert len(spec.items()) == 47
+    assert len(spec.entries) == 47
 
 
 def test_rep_spectrum_scaling_invariance():
@@ -132,7 +132,7 @@ def test_rep_spectrum_scaling_invariance():
     q = random_spd(rng, 3)
     base = rep_spectrum(GramForm(q), 11)
     scaled = rep_spectrum(GramForm(q.scaled(3)), 33)
-    assert [(3 * t, c) for t, c in base.items()] == list(scaled.items())
+    assert [(3 * t, c) for t, c in base.entries] == list(scaled.entries)
 
 
 def test_rep_spectrum_congruence_invariance():
@@ -141,13 +141,13 @@ def test_rep_spectrum_congruence_invariance():
         q = random_spd(rng, 3)
         u = random_unimodular(rng, 3)
         conj = u.transpose() @ q @ u
-        assert rep_spectrum(GramForm(q), 9).items() == rep_spectrum(GramForm(conj), 9).items()
+        assert rep_spectrum(GramForm(q), 9).entries == rep_spectrum(GramForm(conj), 9).entries
 
 
 def test_rep_spectrum_rational_grid():
     spec = rep_spectrum(GramForm(Mat.from_rows([[Fraction(1, 2)]])), 3)
     assert spec.step == Fraction(1, 2)
-    assert dict(spec.items()) == {
+    assert dict(spec.entries) == {
         0: 1,
         Fraction(1, 2): 2,
         1: 0,

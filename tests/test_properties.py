@@ -1,8 +1,9 @@
 """Property tests: enumeration against the box oracle, the exact-shell
 walk against the filtered ball, squared theta series, certify under
 unimodular maps, the monomial orbit of a code, the eigenvalue bound, LLL
-and the Mat products and inverse against their oracles, and the Hermite
-normal form as a canonical lattice basis.
+and the Mat products and inverse against their oracles, the Hermite
+normal form as a canonical lattice basis, and code-search reports and
+checkpoints that do not depend on --jobs or on a resume.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
@@ -10,10 +11,13 @@ to keep each enumeration to milliseconds.  Codes have length at most 4,
 so a scalar orbit holds at most 4! * 2**4 images.
 """
 
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +46,7 @@ from toriso.linalg import (
     lattices_equal,
     lll_reduce,
 )
-from toriso.search import _orbit_ids, _pack, _pack_powers
+from toriso.search import _orbit_ids, _pack, _pack_powers, run_search
 from toriso.spectra import Verdict, certify
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -77,7 +81,7 @@ def unimodular(draw, n):
 @given(forms(), st.integers(0, 40))
 def test_squared_spectrum_is_the_direct_sum_spectrum(q, cap):
     squared = spectra._squared_counts(rep_spectrum(q, cap).entries)
-    assert squared == dict(rep_spectrum(form_direct_sum(q, q), cap).items())
+    assert squared == dict(rep_spectrum(form_direct_sum(q, q), cap).entries)
 
 
 @SETTINGS
@@ -260,3 +264,33 @@ def test_hnf_is_the_canonical_basis(data):
     other = data.draw(matrices(r, data.draw(st.integers(1, 5)), st.integers(-9, 9).map(Fraction)))
     assert lattices_equal(m.scaled(den), (m @ data.draw(unimodular(c))).scaled(den))
     assert lattices_equal(m.scaled(den), other.scaled(den)) == (hnf(other) == h)
+
+
+class _Stop(Exception):
+    pass
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_search_is_byte_identical_across_jobs_and_resume(data):
+    q = data.draw(st.sampled_from((2, 3, 5)), label="q")
+    n = data.draw(st.integers(2, 4), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    kwargs = dict(family=data.draw(st.sampled_from(("all", "systematic"))), verify=False, chunk_size=data.draw(st.integers(3, 40)))
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, parallel, resumed = (Path(tmp, f"{name}.json.gz") for name in ("serial", "parallel", "resumed"))
+        totals = []
+        want = run_search(q, n, k, checkpoint_path=serial, progress=lambda done, total: totals.append(total), **kwargs)
+        assert run_search(q, n, k, checkpoint_path=parallel, jobs=2, **kwargs) == want
+        assert parallel.read_bytes() == serial.read_bytes()
+        cut = data.draw(st.integers(1, totals[0]), label="cut")
+        jobs = data.draw(st.sampled_from((1, 2)), label="jobs")
+
+        def stop(done, total):
+            if done == cut:
+                raise _Stop
+
+        with pytest.raises(_Stop):
+            run_search(q, n, k, checkpoint_path=resumed, jobs=jobs, progress=stop, **kwargs)
+        assert run_search(q, n, k, checkpoint_path=resumed, jobs=jobs, **kwargs) == want
+        assert resumed.read_bytes() == serial.read_bytes()

@@ -1,5 +1,6 @@
 import gzip
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -347,6 +348,47 @@ def test_progress_exception_stops_a_parallel_scan(tmp_path, monkeypatch):
     assert path.read_bytes() == want_path.read_bytes()
 
 
+def test_pool_is_sized_by_pending_partitions_and_cores(tmp_path, monkeypatch):
+    # a fork pool starts every worker at the first submit, so max_workers
+    # must not follow --jobs alone; the fake runs each scan in this process
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    kwargs = dict(family="all", min_tuple=2, verify=False, chunk_size=20)
+    want = run_search(3, 4, 2, **kwargs)  # 11 partitions
+    monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+    for cores, workers in ((4, 4), (64, 11), (None, None), (1, None)):
+        monkeypatch.setattr(search.os, "cpu_count", lambda cores=cores: cores)
+        made.clear()
+        assert run_search(3, 4, 2, jobs=100_000, **kwargs) == want
+        assert made == ([workers] if workers else [])
+    # a resumed search sizes the pool by the partitions it has left
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
+    for left in (2, 1):
+        path = tmp_path / f"left{left}.json.gz"
+
+        def stop(done, total, left=left):
+            if done == total - left:
+                raise Stop
+
+        with pytest.raises(Stop):
+            run_search(3, 4, 2, checkpoint_path=path, progress=stop, **kwargs)
+        made.clear()
+        assert run_search(3, 4, 2, checkpoint_path=path, jobs=100_000, **kwargs) == want
+        assert made == ([left] if left > 1 else [])
+
+
 def test_run_search_parallel_matches_serial(tmp_path):
     a = run_search(2, 4, 2, family="all", min_tuple=2, verify=False, chunk_size=3)
     b = run_search(2, 4, 2, family="all", min_tuple=2, verify=False, chunk_size=3, jobs=2)
@@ -362,6 +404,8 @@ def test_run_search_guards():
         run_search(5, 8, 4)  # 20 patterns of up to 5**16 codes, over the guard
     with pytest.raises(CodeError):
         run_search(5, 6, 3, family="short")
+    with pytest.raises(CodeError, match="jobs must be at least 1"):
+        run_search(3, 4, 2, jobs=0)
 
 
 def test_systematic_family_on_small_space():

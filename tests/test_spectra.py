@@ -88,7 +88,7 @@ def test_certify_spot_check_window_beyond_cutoff():
     q1 = double_form(triplet.gram_form(1))
     q2 = double_form(triplet.gram_form(2))
     hi = triplet.DOUBLED_THRESHOLD + 20
-    assert rep_spectrum(q1, hi).items() == rep_spectrum(q2, hi).items()
+    assert rep_spectrum(q1, hi).entries == rep_spectrum(q2, hi).entries
 
 
 def test_certify_detects_determinant_mismatch():
