@@ -1,8 +1,10 @@
 """Exact lattice-point enumeration inside quadratic-form balls.
 
-The recursion stays in integer arithmetic end to end.  For an integral
-form G the fraction-free elimination in linalg gives row vectors U[i] and
-leading principal minors d_0 = 1, ..., d_n with
+The walk runs in the form's LLL-reduced basis: GramForm._reduction holds
+the change of basis H and the Bareiss data of H^T G H, the integral LLL's
+final lambda and d.  Vectors are mapped back to x = H y before their sign
+is fixed and they are sorted; counts need no mapping.  In integers end to
+end, that data gives row vectors U[i] and minors d_0 = 1, ..., d_n with
 
     x^T G x = sum_i u_i^2 / (d_i * d_{i+1}),
     u_i     = d_{i+1} * x_i + sum_{j > i} U[i][j] * x_j,
@@ -25,7 +27,8 @@ solves for u_0 and keeps x_0 = (+-u_0 - t) / d_1 when u_0^2 is a whole
 square and x_0 an integer.  Every vector of a wanted norm lies in the
 ball of N_max and is reached there, and nothing else is emitted, so the
 walk yields exactly the requested shells.  A walk that tries more than
-_WALK_BUDGET points at x_0 raises ValueError instead of running on.
+_WALK_BUDGET points at x_0 raises ValueError instead of running on; the
+points counted are those of the walk actually run, in the reduced basis.
 """
 
 from __future__ import annotations
@@ -89,10 +92,12 @@ class RepSpectrum:
 _WALK_BUDGET = 2_000_000  # points one walk may try at coordinate 0
 
 
-def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None], values=None) -> int:
-    """Run the pruned tree walk, calling emit(scaled_norm, coords) once per
-    antipodal pair of nonzero solutions of x^T q x <= bound; given values,
-    a set of scaled norms, only for the solutions whose norm is one of them.
+def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None], values=None, mapped=True) -> int:
+    """Run the pruned tree walk in the form's LLL-reduced basis, calling
+    emit(scaled_norm, coords) once per antipodal pair of nonzero solutions
+    of x^T q x <= bound; given values, a set of scaled norms, only for the
+    solutions whose norm is one of them.  coords are x in the form's own
+    basis, or with mapped=False the reduced coordinates y, x = h y.
 
     scaled_norm is the integer value against the denominator-cleared form
     s * q; returns s for the caller to map values back.  Raises ValueError
@@ -102,9 +107,21 @@ def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None], 
         raise DimensionError("cannot enumerate an empty form")
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    # the form's own Bareiss data; u has overwritten the rows of s * q
-    urows, d, s = q._elimination
+    # the Bareiss data of the reduced form h^T (s q) h, from the LLL's lambda and d
+    h, (urows, d, s) = q._reduction
     n = q.dimension
+    if mapped and h is not None:
+        # x = h y, summed over the nonzero entries of y and of h's columns
+        columns, reduced_emit = [[(i, c) for i, c in enumerate(col) if c] for col in h], emit
+
+        def emit(scaled: int, y: list[int]):
+            x = [0] * n
+            for yj, col in zip(y, columns):
+                if yj:
+                    for i, c in col:
+                        x[i] += c * yj
+            reduced_emit(scaled, x)
+
     p = 1
     for i in range(n):
         p *= d[i] * d[i + 1]
@@ -198,9 +215,7 @@ def enumerate_up_to(q: GramForm, bound) -> list[tuple[tuple[int, ...], Fraction 
         found.append((_canonical_sign(coords), scaled))
 
     s = _walk(q, bound, emit)
-    out = [(c, _normalize(Fraction(scaled, s))) for c, scaled in found]
-    out.sort(key=lambda item: (item[1], item[0]))
-    return out
+    return sorted(((c, _normalize(Fraction(scaled, s))) for c, scaled in found), key=lambda item: (item[1], item[0]))
 
 
 def rep_spectrum(q: GramForm, bound) -> RepSpectrum:
@@ -221,15 +236,9 @@ def rep_spectrum(q: GramForm, bound) -> RepSpectrum:
     cap = int(s * bound // 1)
     if grid and cap // grid > _WALK_BUDGET:
         raise ValueError(f"enumeration budget exceeded: {cap // grid} grid values up to {bound}, over {_WALK_BUDGET}")
-    _walk(q, bound, emit)
-    entries = [(Fraction(0), 1)]
-    for k in range(grid, cap + 1, grid):
-        entries.append((Fraction(k, s), counts.get(k, 0)))
-    return RepSpectrum(
-        bound=_normalize(bound),
-        step=_normalize(Fraction(grid, s)),
-        entries=tuple((_normalize(t), c) for t, c in entries),
-    )
+    _walk(q, bound, emit, mapped=False)
+    entries = ((_normalize(Fraction(k, s)), counts.get(k, 0)) for k in range(grid, cap + 1, grid))
+    return RepSpectrum(bound=_normalize(bound), step=_normalize(Fraction(grid, s)), entries=((0, 1), *entries))
 
 
 def _ambient_candidates(l: Lattice, pick: Callable):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,6 +21,7 @@ from .linalg import (
     RankError,
     ShapeError,
     _integer_rows,
+    _lll,
     _positive_definite_data,
     det,
 )
@@ -52,7 +54,8 @@ class GramForm:
     """Symmetric positive-definite matrix of inner products.
 
     The Bareiss data (u, minors, s) of the positive-definiteness gate is
-    kept, so the enumeration walk never eliminates the form again."""
+    kept, and _reduction starts the integral LLL from it, so no form is
+    eliminated twice."""
 
     matrix: Mat
     _elimination: tuple = field(init=False, compare=False, repr=False)
@@ -62,6 +65,14 @@ class GramForm:
             raise ShapeError("Gram matrix must be symmetric")
         # raises NotPositiveDefiniteError otherwise
         object.__setattr__(self, "_elimination", _positive_definite_data(self.matrix))
+
+    @cached_property
+    def _reduction(self) -> tuple:
+        """(h, (u, minors, s)): the change of basis h of the form's LLL
+        reduction (_lll) and the Bareiss data of h^T (s q) h."""
+        u, minors, s = self._elimination
+        h, u, minors = _lll(u, minors, Fraction(3, 4))
+        return h, (u, minors, s)
 
     @property
     def dimension(self) -> int:

@@ -338,70 +338,72 @@ def lattices_equal(a: Mat, b: Mat) -> bool:
     return hnf(a.scaled(s)) == hnf(b.scaled(s))
 
 
+def _lll(u: list[list[int]], d: list[int], delta: Fraction) -> tuple[list[list[int]] | None, list[list[int]], list[int]]:
+    """Integral LLL (Cohen, GTM 138, Alg. 2.6.7) of an integer Gram matrix
+    G, started from (u, d) = fraction_free_upper(G): lam[k][j] = u[j][k] is
+    d[j+1] * mu_kj, so every update divides exactly.  Returns the columns h
+    of the change of basis (None for the identity) and the final lam and d
+    as fraction_free_upper(h^T G h); the inputs are left unchanged."""
+    n = len(d) - 1
+    lam = [[u[j][k] for j in range(k)] for k in range(n)]
+    d = list(d)
+    h = [[int(i == j) for i in range(n)] for j in range(n)]
+    a, b = delta.numerator, delta.denominator
+    k = 1
+    while k < n:
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:
+                # t = round(mu_kj), half to even as round() on a Fraction
+                t, r = divmod(lk[j], dj)
+                t += 2 * r > dj or (2 * r == dj and t % 2)
+                h[k] = [x - t * y for x, y in zip(h[k], h[j])]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= t * lj[i]
+                lk[j] -= t * dj
+        m = lk[k - 1]
+        # Lovasz: B_k >= (delta - mu^2) B_{k-1}, times d_k d_{k-1} / delta's denominator
+        if b * (d[k + 1] * d[k - 1] + m * m) >= a * d[k] * d[k]:
+            k += 1
+            continue
+        h[k], h[k - 1] = h[k - 1], h[k]
+        # rows k and k-1 trade their first k-1 entries; lam[k][k-1] stays
+        lam[k - 1], lam[k] = lk[: k - 1], lam[k - 1] + [m]
+        swapped = (d[k - 1] * d[k + 1] + m * m) // d[k]  # the new d_k
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+            li[k - 1] = (swapped * t + m * li[k]) // d[k + 1]
+        d[k] = swapped
+        k = max(k - 1, 1)
+    rows = [[0] * j + [d[j + 1]] + [lam[k][j] for k in range(j + 1, n)] for j in range(n)]
+    return (None if h == [[int(i == j) for i in range(n)] for j in range(n)] else h), rows, d
+
+
 def lll_reduce(basis: Mat, delta: Fraction = Fraction(3, 4)) -> Mat:
-    """Exact-arithmetic LLL reduction of the columns of a full-rank basis.
+    """Exact LLL reduction of the columns of a full-rank basis.
 
     delta is the Lovasz parameter and must satisfy 1/4 < delta < 1.  The
-    returned matrix spans the same lattice and |det| is unchanged.
-    Gram-Schmidt runs once; each size reduction and swap then updates the
-    coefficients mu and the squared norms B in place (Cohen, GTM 138,
-    Alg. 2.6.3), so the reductions and swaps, and the basis returned, are
-    the same as when Gram-Schmidt is recomputed after every step.
+    returned matrix spans the same lattice and |det| is unchanged.  The
+    integral LLL runs on the Gram matrix s * B^T B with the same size
+    reductions, in the same order, and the same swaps as Gram-Schmidt over
+    Fraction (Cohen Alg. 2.6.3); B times its change of basis is returned.
     """
     delta = _rat(delta)
     if not (Fraction(1, 4) < delta < 1):
         raise LinalgError("delta must lie strictly between 1/4 and 1")
     if basis.cols == 0:
         return basis
-    b = [list(basis.column(j)) for j in range(basis.cols)]
-    n = len(b)
-
-    def dot(u, v):
-        return sum((x * y for x, y in zip(u, v)), Fraction(0))
-
-    star: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms: list[Fraction] = []
-    for i in range(n):
-        v = b[i]
-        for j in range(i):
-            mu[i][j] = dot(b[i], star[j]) / norms[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-        star.append(v)
-        norms.append(dot(v, v))
-        if norms[i] == 0:
-            raise RankError("basis is rank-deficient")
-
-    k = 1
-    while k < n:
-        muk = mu[k]
-        for j in range(k - 1, -1, -1):
-            if abs(muk[j]) > Fraction(1, 2):
-                # b_k -= t * b_j leaves every b*_i alone
-                t = round(muk[j])
-                b[k] = [x - t * y for x, y in zip(b[k], b[j])]
-                muj = mu[j]
-                for i in range(j):
-                    muk[i] -= t * muj[i]
-                muk[j] -= t
-        m = muk[k - 1]
-        if norms[k] >= (delta - m * m) * norms[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            # rows k and k-1 trade their first k-1 coefficients; only the
-            # pair's own entry, B_k, B_{k-1} and column k, k-1 below change
-            mu[k], mu[k - 1] = mu[k - 1], mu[k]
-            swapped = norms[k] + m * m * norms[k - 1]  # the new B_{k-1}
-            mu[k][k - 1] = m * norms[k - 1] / swapped
-            norms[k] = norms[k - 1] * norms[k] / swapped
-            norms[k - 1] = swapped
-            for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
-            k = max(k - 1, 1)
-    return Mat.from_columns(b)
+    try:
+        u, minors = fraction_free_upper(_integer_rows(basis.transpose() @ basis)[0])
+    except NotPositiveDefiniteError:
+        # a Gram matrix is positive semidefinite, so a leading minor d_k is 0
+        raise RankError("basis is rank-deficient") from None
+    h = _lll(u, minors, delta)[0]
+    return basis if h is None else basis @ Mat.from_columns(h)
 
 
 def eigenvalue_lower_bound(q: Mat, eps: Fraction) -> Fraction:

@@ -21,8 +21,9 @@ are the self-convolution of q's own counts,
     r_{q+q}(k * step) = sum_{i + j = k} r_q(i * step) * r_q(j * step),
 
 so an odd-dimensional comparison enumerates the n-dimensional ball up to
-the cutoff of dimension 2n and squares the counts in integers; the
-certificate records the same levels, cutoff and table as the 2n-
+the cutoff of dimension 2n and squares the counts as one packed integer
+(Kronecker substitution), checked against the raw counts at their first
+difference; the certificate records the same levels, cutoff and table as the 2n-
 dimensional enumeration would.  Each form is enumerated once, up to the
 larger of that cutoff and the raw pre-scan's bound, and the pre-scan
 reads its prefix.
@@ -37,7 +38,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .enumeration import rep_spectrum
 from .lattices import GramForm, _form_det, is_even, level
@@ -104,27 +104,42 @@ def _threshold(lev: int, dimension: int):
     return _normalize(Fraction(mu0(lev) * (dimension // 2), 6) + 2)
 
 
+_SQUARE_BUDGET = 1 << 24  # bits of packed counts; squaring this many takes about 8 s
+
+
 def _squared_counts(entries) -> dict:
     """Representation counts of q + q from those of q, on q's grid.
 
     entries are (value, count) pairs holding the value i * step at index
     i, zero counts included, so the direct sum's count at index k is a
-    convolution of integer lists."""
-    r = [c for _, c in entries]
-    return {t: sum(map(mul, r[: k + 1], reversed(r[: k + 1]))) for k, (t, _) in enumerate(entries)}
+    convolution: the low slots of the square of the counts packed into one
+    int, each slot wider than len * max^2 (Kronecker substitution).
+    Raises ValueError past _SQUARE_BUDGET packed bits."""
+    values, r = zip(*entries) if entries else ((), ())
+    width = ((2 * max(r, default=0) ** 2 * len(r)).bit_length() + 8) // 8  # bytes, at least bits + 1
+    if 8 * width * len(r) > _SQUARE_BUDGET:
+        raise ValueError(f"squaring budget exceeded: {len(r)} counts of {8 * width} bits, over {_SQUARE_BUDGET} bits")
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in r), "little")
+    square = (packed * packed).to_bytes(2 * width * len(r), "little")
+    return {t: int.from_bytes(square[k * width : (k + 1) * width], "little") for k, t in enumerate(values)}
 
 
 def _spectra_differ(pair, cap, squared=False):
     """Smallest value up to cap where the representation counts of the
     two spectra differ, plus the full merged comparison table; squared
     compares the counts of a + a and b + b instead.  Both spectra must
-    reach cap; larger values are left out."""
-    ta, tb = ([(t, c) for t, c in sp.entries if t <= cap] for sp in pair)
-    ta, tb = (_squared_counts(e) if squared else dict(e) for e in (ta, tb))
-    values = sorted(set(ta) | set(tb), key=Fraction)
-    table = tuple((_normalize(Fraction(t)), ta.get(t, 0), tb.get(t, 0)) for t in values)
-    diffs = [t for t, ra, rb in table if ra != rb]
-    return (min(diffs) if diffs else None), table
+    reach cap; larger values are left out.  Both count the zero vector
+    once, so squares must first differ where the raw counts do, by twice
+    as much."""
+    ta, tb = ({t: c for t, c in sp.entries if t <= cap} for sp in pair)
+    sa, sb = (_squared_counts(list(ta.items())), _squared_counts(list(tb.items()))) if squared else (ta, tb)
+    table = tuple((t, sa.get(t, 0), sb.get(t, 0)) for t in sorted(sa.keys() | sb.keys()))
+    first = next((t for t, ra, rb in table if ra != rb), None)
+    if squared:
+        raw = min((t for t in ta.keys() | tb.keys() if ta.get(t, 0) != tb.get(t, 0)), default=None)
+        if first != raw or (raw is not None and sa.get(raw, 0) - sb.get(raw, 0) != 2 * (ta.get(raw, 0) - tb.get(raw, 0))):
+            raise ArithmeticError("squared counts disagree with the raw counts at their first difference")
+    return first, table
 
 
 def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: int = 50) -> IsoCertificate:
@@ -142,20 +157,8 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
     doubled = summed = False
 
     def finish(verdict, levels=None, threshold=None, compared=None, first=None, table=()):
-        return IsoCertificate(
-            verdict=verdict,
-            dimension=dim,
-            dets=(_normalize(det_a), _normalize(det_b)),
-            scaled_by=s,
-            doubled=doubled,
-            summed=summed,
-            levels=levels,
-            threshold=threshold,
-            compared_up_to=compared,
-            first_difference=first,
-            notes=tuple(notes),
-            table=table,
-        )
+        dets = (_normalize(det_a), _normalize(det_b))
+        return IsoCertificate(verdict, dim, dets, s, doubled, summed, levels, threshold, compared, first, tuple(notes), table)
 
     if dim < 0:
         notes.append("dimensions differ")

@@ -13,8 +13,8 @@ the characteristic polynomial in (0, mid] with a Sturm chain; it shares no
 code with the library's Bareiss positive-definiteness test, so equal
 bounds are evidence that both decide "lambda_min(q) > mid" alike.
 recompute_lll runs the same reductions and swaps as lll_reduce but
-rebuilds the whole Gram-Schmidt data after each of them, so equal bases
-are evidence that the in-place mu/B updates are exact.
+rebuilds the whole Fraction Gram-Schmidt data after each of them, so
+equal bases are evidence that the integral lambda/d updates are exact.
 fraction_ladder tracks spans by Fraction Gauss-Jordan rows over the
 ambient vectors, where independent_ladder takes Hermite-form ranks of
 reduced-basis coordinates.  box_oracle scans every coordinate vector of a

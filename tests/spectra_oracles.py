@@ -1,4 +1,5 @@
-"""Test oracle for certify: the direct-sum comparison it replaced.
+"""Test oracles for certify: the direct-sum comparison it replaced, and
+the convolution loop that its packed squaring replaced.
 
 direct_sum_certify decides a pair the way certify did before it learned
 to square theta series: an odd-dimensional pair is replaced by q + q and
@@ -6,14 +7,24 @@ b + b, whose levels, cutoff and representation counts are computed from
 the 2n-dimensional forms themselves (form_direct_sum, level,
 hecke_threshold, rep_spectrum).  It shares no squaring code with certify,
 so equal certificates are evidence that the convolution is exact.
+loop_squared_counts sums each convolution entry over the integer lists
+directly, where _squared_counts squares one packed integer.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from toriso.enumeration import rep_spectrum
 from toriso.lattices import GramForm, _block_diag, is_even, level
 from toriso.linalg import _denominator_scale, _normalize, det
 from toriso.spectra import IsoCertificate, Verdict, hecke_threshold
+
+
+def loop_squared_counts(entries):
+    """_squared_counts by the quadratic loop: the count at index k is the
+    sum of r_i * r_(k-i)."""
+    r = [c for _, c in entries]
+    return {t: sum(map(mul, r[: k + 1], reversed(r[: k + 1]))) for k, (t, _) in enumerate(entries)}
 
 
 def form_direct_sum(a, b):

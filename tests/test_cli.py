@@ -291,6 +291,37 @@ def test_rep_huge_bound_exits_2_instead_of_hanging(tmp_path, bound, problem):
     assert done.stderr.startswith("error: enumeration budget exceeded") and problem in done.stderr
 
 
+def test_forms_skewed_by_huge_unimodular_maps_still_answer(tmp_path):
+    # U has entries near 10**9 and U^T Q1 U entries near 10**21; the walk
+    # runs in the LLL-reduced basis, so both verbs answer at once
+    n = 6
+    upper = Mat.from_rows([[int(i == j) or (10**9 - 7 * i - j if j > i else 0) for j in range(n)] for i in range(n)])
+    lower = Mat.from_rows([[int(i == j) or (-1) ** (i + j) * (j < i) for j in range(n)] for i in range(n)])
+    u = upper @ lower
+    q1 = triplet.gram_form(1)
+    skewed, plain = tmp_path / "skewed.txt", tmp_path / "q1.txt"
+    skewed.write_text(formats.format_matrix(u.transpose() @ q1.matrix @ u, kind="gram"))
+    plain.write_text(formats.format_matrix(q1.matrix, kind="gram"))
+    done = run_process("rep", str(skewed), "--max", "10", timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == formats.format_spectrum(rep_spectrum(q1, 10))
+    done = run_process("isometry", str(skewed), str(plain), timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    witness = formats.parse_matrix(done.stdout)
+    assert witness.transpose() @ u.transpose() @ q1.matrix @ u @ witness == q1.matrix
+
+
+def test_isospec_of_an_odd_form_with_a_large_level_finishes(tmp_path):
+    # level 685,584: the squared comparison runs to the cutoff 715,394 over
+    # 357,698 grid values, one packed integer square per form
+    form = tmp_path / "q.txt"
+    form.write_text("3 3\n450 108 -468\n108 728 -208\n-468 -208 656\n")
+    done = run_process("isospec", str(form), str(form), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("verdict: Isospectral\n")
+    assert "compared_up_to: 715394\n" in done.stdout and done.stdout.count("\n") == 357_698 + 15
+
+
 def test_paper_triplet_passes(capsys):
     code, out, _ = run(capsys, "paper-triplet")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -225,8 +226,32 @@ def test_lll_rejects_bad_delta_and_rank():
     m = Mat.identity(2)
     with pytest.raises(Exception):
         lll_reduce(m, Fraction(1, 4))
-    with pytest.raises(RankError):
-        lll_reduce(Mat.from_columns([[1, 2], [2, 4]]))
+    # each Gram matrix has a zero leading minor d_k: k = 2, 3 and 2
+    for columns in ([[1, 2], [2, 4]], [[1, 0, 2], [0, 1, 0], [1, 1, 2]], [[1, 2, 3], [2, 4, 6]]):
+        with pytest.raises(RankError):
+            lll_reduce(Mat.from_columns(columns))
+
+
+def test_lll_reduce_takes_no_fraction_products(monkeypatch):
+    # the integral LLL runs on integer Gram rows; B times its change of
+    # basis is one integer-kernel Mat product
+    bases = [triplet.basis_matrix(i) for i in (1, 2, 3)] + [dual(triplet.lattice(i)).basis for i in (1, 2, 3)]
+    expected = [recompute_lll(m) for m in bases]
+    calls = Counter()
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+
+        def counted(a, b, real=getattr(Fraction, name), name=name):
+            calls[name] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) * Fraction(1, 3) / 2 == Fraction(1, 12)
+    assert calls == {"__mul__": 1, "__truediv__": 1}
+    calls.clear()
+    got = [lll_reduce(m) for m in bases]
+    assert not calls
+    monkeypatch.undo()
+    assert got == expected
 
 
 def test_char_poly_examples():

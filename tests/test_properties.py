@@ -1,5 +1,7 @@
-"""Property tests: enumeration against the box oracle, the exact-shell
-walk against the filtered ball, squared theta series, certify under
+"""Property tests: enumeration against the box oracle, also in the
+LLL-reduced basis of a skewed conjugate, the exact-shell walk against the
+filtered ball, squared theta series and the packed squaring against the
+convolution loop, certify under
 unimodular maps, the monomial orbit of a code, the eigenvalue bound, LLL
 and the Mat products and inverse against their oracles, the Hermite
 normal form as a canonical lattice basis, and code-search reports and
@@ -13,6 +15,7 @@ so a scalar orbit holds at most 4! * 2**4 images.
 
 import tempfile
 from collections import Counter
+from math import isqrt, prod
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,10 +33,10 @@ from linalg_oracles import (
     recompute_lll,
     sturm_lower_bound,
 )
-from spectra_oracles import form_direct_sum
+from spectra_oracles import form_direct_sum, loop_squared_counts
 from toriso import spectra
 from toriso.codes import LinearCode, canonical_monomial_form
-from toriso.enumeration import _shells, enumerate_up_to, rep_spectrum
+from toriso.enumeration import _canonical_sign, _shells, enumerate_up_to, rep_spectrum
 from toriso.lattices import GramForm
 from toriso.linalg import (
     DimensionError,
@@ -42,6 +45,7 @@ from toriso.linalg import (
     RankError,
     det,
     eigenvalue_lower_bound,
+    fraction_free_upper,
     hnf,
     lattices_equal,
     lll_reduce,
@@ -82,6 +86,16 @@ def unimodular(draw, n):
 def test_squared_spectrum_is_the_direct_sum_spectrum(q, cap):
     squared = spectra._squared_counts(rep_spectrum(q, cap).entries)
     assert squared == dict(rep_spectrum(form_direct_sum(q, q), cap).entries)
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 2**40), max_size=80), st.integers(0, 2**70))
+@example([], 0)
+@example([0, 0, 0], 0)
+def test_packed_squaring_is_the_convolution_loop(counts, big):
+    # one huge count widens every slot of the packed integer
+    entries = [(Fraction(k, 3), c) for k, c in enumerate(counts + [big])]
+    assert spectra._squared_counts(entries) == loop_squared_counts(entries)
 
 
 @SETTINGS
@@ -167,6 +181,47 @@ def test_enumerate_up_to_is_the_box_oracle(q, t):
     # every value lies on rep_spectrum's grid and is counted with both signs
     counts = {0: 1, **{t: 2 * c for t, c in Counter(expected.values()).items()}}
     assert {t: c for t, c in rep_spectrum(GramForm(q), bound).entries if c} == counts
+
+
+@st.composite
+def skewing(draw, n):
+    """A unimodular matrix of 2 to 6 elementary column operations."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(2, 6)) if n > 1 else 0):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        c = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        for r in rows:
+            r[j] += c * r[i]
+    return Mat.from_rows(rows)
+
+
+@SETTINGS
+@given(st.one_of(forms(max_dim=5).map(lambda f: f.matrix), rational_forms(max_dim=5)), st.data())
+def test_reduced_walk_of_a_skewed_conjugate_is_the_box_oracle(q, data):
+    n = q.rows
+    u = data.draw(skewing(n))
+    m = u.transpose() @ q @ u
+    form = GramForm(m)
+    h, (reduced_u, reduced_minors, s) = form._reduction
+    assume(n == 1 or h is not None)
+    # the reduction's Bareiss data is the elimination of h^T (s m) h
+    hm = Mat.from_columns(h) if h else Mat.identity(n)
+    rows = [[int(x) for x in (hm.transpose() @ m.scaled(s) @ hm).row(i)] for i in range(n)]
+    assert (reduced_u, reduced_minors) == fraction_free_upper(rows)
+    # the ball of m is u^-1 times the ball of q, whose box the oracle scans
+    inv = q.inverse()
+    scaled = st.integers(0, 16).map(lambda t: t / max(inv.at(i, i) for i in range(n)))
+    bound = data.draw(st.one_of(scaled, st.sampled_from([q.at(i, i) for i in range(n)])))
+    assume(prod(2 * isqrt(int(bound * inv.at(i, i))) + 1 for i in range(n)) <= 20000)
+    back = u.inverse()
+    expected = {_canonical_sign(tuple(int(c) for c in back.apply(x))): v for x, v in box_oracle(q, bound).items()}
+    got = enumerate_up_to(form, bound)
+    assert dict(got) == expected and len(got) == len(expected)
+    assert got == sorted(got, key=lambda item: (item[1], item[0]))
+    shells = {t: sorted(x for x, v in expected.items() if v == t) for t in set(expected.values())}
+    assert _shells(form, list(shells)) == shells
+    counts = {0: 1, **{t: 2 * len(vecs) for t, vecs in shells.items()}}
+    assert {t: c for t, c in rep_spectrum(form, bound).entries if c} == counts
 
 
 @SETTINGS

@@ -265,3 +265,35 @@ def test_odd_certify_stays_in_the_input_dimension(monkeypatch):
         assert cert.verdict is Verdict.ISOSPECTRAL
         assert sorted(calls) == [("level", a.length)] * 2 + [("rep_spectrum", a.length)] * 2
     assert cert.threshold == triplet.DOUBLED_THRESHOLD and not cert.summed
+
+
+@pytest.mark.parametrize("case", [4, 6], ids=["3-isospectral", "3-squared-spectra-differ"])
+def test_squares_that_miss_the_raw_difference_raise(monkeypatch, case):
+    # the first square gains 2 at value 4: for the isospectral pair the
+    # squares then differ where the raw counts agree, and for the other
+    # they differ at the raw difference (4 against 6) by 2, not by twice
+    # it; either way certify raises instead of giving a verdict
+    a, b, kwargs = ODD_PAIRS[case].values[:3]
+    real, calls = spectra._squared_counts, []
+
+    def corrupted(entries):
+        out = real(entries)
+        calls.append(len(entries))
+        if len(calls) == 1:
+            out[4] += 2
+        return out
+
+    monkeypatch.setattr(spectra, "_squared_counts", corrupted)
+    with pytest.raises(ArithmeticError, match="first difference"):
+        certify(a, b, **kwargs)
+    assert len(calls) == 2
+
+
+def test_squaring_past_its_budget_raises(monkeypatch):
+    # 20 grid values up to the cutoff 38, with counts of at most 8
+    a, b, kwargs = ODD_PAIRS[4].values[:3]
+    monkeypatch.setattr(spectra, "_SQUARE_BUDGET", 20 * 16 - 1)
+    with pytest.raises(ValueError, match="squaring budget exceeded: 20 counts of 16 bits, over 319 bits"):
+        certify(a, b, **kwargs)
+    monkeypatch.setattr(spectra, "_SQUARE_BUDGET", 20 * 16)
+    assert certify(a, b, **kwargs).verdict is Verdict.ISOSPECTRAL
