@@ -16,11 +16,17 @@ Two paths here overlap with toriso.search on purpose.  The scalar
 monomial orbit behind canonical_monomial_form repeats what the numpy
 orbit in search computes; verify_tuple uses it as the independent
 re-check of the scan's inequivalence verdict, so it must not share code
-with the scan.  _canonical_data keeps a prime-modulus branch
+with the scan.  It row-reduces one image per column permutation P: with
+R the canonical rows of G P, pivot columns p(i) and signs s_j = +-1, the
+rows s_p(i) * s_j * R[i][j] mod q of the signed image are echelon with
+the same positive pivots, and only their entries above each pivot need
+reducing back into [0, pivot), pivots in increasing column order (over a
+field they are 0 already).  _canonical_data keeps a prime-modulus branch
 (_rref_mod_prime) next to the general Hermite-form branch: the modulus
 selects the branch, both give the same rows where both apply, and the
-field branch is 3-4 times faster on the orbits verify_tuple walks.  Only
-moduli below 2**15 take it, because its primality test is trial division.
+field branch takes about two thirds of the Hermite branch's time on the
+triplet codes' canonical forms.  Only moduli below 2**15 take it,
+because its primality test is trial division.
 """
 
 from __future__ import annotations
@@ -175,27 +181,28 @@ def lift(code: LinearCode) -> Lattice:
     return Lattice(basis)
 
 
-def _monomial_image_rows(code: LinearCode):
-    n = code.length
-    if n > 8:
-        raise CodeError("monomial orbit restricted to length <= 8")
-    q = code.modulus
-    sign_choices = (1,) if q == 2 else (1, q - 1)
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product(sign_choices, repeat=n):
-            yield tuple(
-                tuple((signs[i] * r[perm[i]]) % q for i in range(n)) for r in code.rows
-            )
-
-
 def canonical_monomial_form(code: LinearCode) -> LinearCode:
     """Least canonical representative of the code's orbit under signed
     coordinate permutations; two codes are monomially equivalent exactly
-    when these forms coincide."""
+    when these forms coincide.  One reduction per column permutation; the
+    sign patterns are applied in closed form (module docstring)."""
     q, n = code.modulus, code.length
-    best = None
-    for rows in _monomial_image_rows(code):
-        canon, _ = _canonical_data(q, n, rows)
-        if best is None or canon < best:
-            best = canon
-    return LinearCode(q, n, best)
+    if n > 8:
+        raise CodeError("monomial orbit restricted to length <= 8")
+    # s and -s give the same image, so the first sign stays 1
+    patterns = [(1,) + s for s in itertools.product((1,) if q == 2 else (1, q - 1), repeat=n - 1)]
+
+    def images():
+        for perm in itertools.permutations(range(n)):
+            rows, _ = _canonical_data(q, n, tuple(tuple(r[j] for j in perm) for r in code.rows))
+            pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+            for s in patterns:
+                image = [[s[p] * s[j] * x % q for j, x in enumerate(r)] for r, p in zip(rows, pivots)]
+                for i, p in enumerate(pivots):
+                    for above in image[:i]:
+                        t = above[p] // image[i][p]
+                        if t:
+                            above[:] = [(a - t * b) % q for a, b in zip(above, image[i])]
+                yield tuple(map(tuple, image))
+
+    return LinearCode(q, n, min(images()))

@@ -2,12 +2,14 @@
 monomially inequivalent codes sharing one folded weight distribution.
 
 The scan is exact end to end.  Codes are generated per reduced-echelon
-pivot pattern, all their codewords computed in vectorized batches (one
-coordinate at a time, each weighed through one lookup table), and each
-code's distribution of folded-value counts, read as one opaque
-byte row, becomes an exact bucket key (two codes land in one bucket if
-and only if their weight distributions are equal, so bucketing loses
-nothing and a second comparison stage is unnecessary).  Buckets are then
+pivot pattern and all their codewords weighed in vectorized batches (a
+word's coordinate c . g[:, j] depends only on the code's column j, so
+each coordinate adds one row of a q**k x q**k term table to all of a
+code's words).  Each code's distribution of folded-value counts, read
+as one opaque byte row, becomes an exact bucket key (two codes land in
+one bucket if and only if their weight distributions are equal, so
+bucketing loses nothing and a second comparison stage is unnecessary).
+Buckets are then
 partitioned into monomial equivalence classes by orbit subtraction: the
 full signed permutation orbit of one member is expanded, reduced to
 canonical form, and intersected with the bucket, which removes that
@@ -57,7 +59,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log2
+from math import factorial, log2
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +77,7 @@ from .lattices import Lattice, gram
 from .spectra import IsoCertificate, Verdict, certify
 
 MAX_TOTAL_CODES = 50_000_000
-MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition may allocate
+MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition or orbit may allocate
 _COUNT_BLOCK = 1024  # codes per bincount in _scan_partition
 CHECKPOINT_SCHEMA = 2
 
@@ -234,20 +236,18 @@ def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
     for idx, (fi, fj) in enumerate(free):
         g[:, fi, fj] = digits[:, idx]
 
-    coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int16)
     # a word's key is sig = sum over folded values w > 0 of (count of w) *
-    # (n + 1)**(w - 1) < bins.  lut maps each raw coordinate 0..k * (q - 1)**2
-    # of a word straight to its term, and the words are built one coordinate
-    # at a time, so no (codes, words, n) table exists
+    # (n + 1)**(w - 1) < bins.  Row a of table holds the terms of a code
+    # column coeffs[a] in the words of every coefficient vector c (module
+    # docstring), so no (codes, words, n) table exists
+    coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
     fold = np.minimum(np.arange(q), q - np.arange(q))
-    term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0)
-    lut = term[np.arange(k * (q - 1) ** 2 + 1) % q].astype(np.min_scalar_type(bins))
-    sig = np.zeros((m, len(coeffs)), dtype=lut.dtype)
-    for j in range(n):
-        coord = g[:, 0, j, None] * coeffs[:, 0]
-        for i in range(1, k):
-            coord += g[:, i, j, None] * coeffs[:, i]
-        sig += lut[coord]
+    term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0).astype(np.min_scalar_type(bins))
+    table = term[(coeffs @ coeffs.T) % q]
+    column = np.tensordot(q ** np.arange(k - 1, -1, -1), g, axes=(0, 1))  # (m, n) rows of table
+    sig = table[column[:, 0]]
+    for j in range(1, n):
+        sig += table[column[:, j]]
     # count block by block into the narrow table: a whole-partition int64
     # bincount would be the scan's largest allocation
     dist = np.empty((m, bins), dtype=count_dtype)
@@ -409,9 +409,8 @@ def run_search(
     """
     if not 0 < k <= n:
         raise CodeError("dimension k must lie in 1..n")
-    if k * (q - 1) ** 2 >= 2**15:
-        # the scan's int16 word coordinates reach k * (q - 1)**2 before reduction
-        raise CodeError(f"k * (q - 1)**2 = {k * (q - 1) ** 2} overflows the scan's 16-bit words")
+    if (q - 1) ** 2 >= 2**15:  # _batch_rref multiplies two int16 residues
+        raise CodeError(f"(q - 1)**2 = {(q - 1) ** 2} overflows the orbit's 16-bit words")
     if not _is_prime(q):
         raise CodeError("search requires a prime modulus")
     if min_tuple < 2:
@@ -431,12 +430,19 @@ def run_search(
 
     bins = (n + 1) ** (q // 2)
     count_dtype = np.uint8 if q**k <= 255 else np.uint16
-    # a partition holds one count row of bins entries and one int16 word
-    # coordinate per (code, codeword)
+    # a partition holds one count row of bins entries and one word term
+    # per (code, codeword), and the q**k x q**k term table
     rows = min(chunk_size, max(totals))
     table = rows * max(bins * np.dtype(count_dtype).itemsize, q**k * 2)
+    table += q ** (2 * k) * np.min_scalar_type(bins).itemsize
     if table > MAX_PARTITION_BYTES:
         raise CodeError(f"one scan partition needs a {table}-byte table, above the {MAX_PARTITION_BYTES} guard")
+    # _orbit_ids holds every image at once: 12 bytes an entry (int16 rows,
+    # their int64 packing) and about 32 an image (packed ids, sorting)
+    images = factorial(n) * (1 if q == 2 else 2**n)
+    orbit = images * (12 * k * n + 32)
+    if orbit > MAX_PARTITION_BYTES:
+        raise CodeError(f"one monomial orbit needs about {orbit} bytes, above the {MAX_PARTITION_BYTES} guard")
     params = {"q": q, "n": n, "k": k, "family": family, "chunk": chunk_size}
 
     partitions = []

@@ -23,6 +23,12 @@ def monomial_images(code):
             yield LinearCode(q, n, rows)
 
 
+def expanded_canonical_form(code):
+    """The least canonical rows over the whole 2**n * n! expansion: one
+    reduction per signed permutation image."""
+    return min(img.rows for img in monomial_images(code))
+
+
 def all_codes(q, n, k):
     """Every k-dimensional code of length n over Z_q, brute force: all
     k-subsets of nonzero vectors, kept when they span rank k."""

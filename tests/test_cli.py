@@ -206,8 +206,12 @@ def test_codesearch_cap_exceeded(tmp_path, capsys):
         # 83,521 systematic codes pass the code guard, but (n + 1)**(q // 2) =
         # 1,679,616 count bins per code would be a 26 GB table per partition
         ("17", "5", "1", "-byte table, above the"),
-        # k * (q - 1)**2 = 36,100 would wrap the int16 word coordinates
+        # (q - 1)**2 = 36,100 would wrap the orbit's int16 row reduction
         ("191", "2", "1", "16-bit words"),
+        # one code, but its 14,641 words make a 14,641 x 14,641 uint16 term table
+        ("11", "4", "4", "-byte table, above the"),
+        # 9! * 2**9 monomial images of one code, about 26 GB in _orbit_ids
+        ("3", "9", "1", "one monomial orbit needs about"),
     ],
 )
 def test_codesearch_rejects_oversized_tables(tmp_path, capsys, q, n, k, problem):

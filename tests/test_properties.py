@@ -24,6 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from code_oracles import expanded_canonical_form
 from isometry_oracles import ball_shells
 from linalg_oracles import (
     box_oracle,
@@ -109,9 +110,9 @@ def test_certify_is_isospectral_under_unimodular_maps(data):
 
 
 @st.composite
-def codes(draw):
-    q = draw(st.sampled_from((2, 3, 5, 7)))
-    n = draw(st.integers(1, 4))
+def codes(draw, moduli=(2, 3, 5, 7), max_length=4):
+    q = draw(st.sampled_from(moduli))
+    n = draw(st.integers(1, max_length))
     k = draw(st.integers(1, n))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=k, max_size=k))
     code = LinearCode(q, n, tuple(map(tuple, rows)))
@@ -132,6 +133,16 @@ def test_canonical_monomial_form_is_the_numpy_orbit_minimum(data):
     # verify_tuple's scalar re-check and the scan's numpy orbit agree
     powers = _pack_powers(q, k, n)
     assert _pack(np.array([canon.rows]), powers)[0] == _orbit_ids(image.rows, q, n, powers)[0]
+
+
+@SETTINGS
+@given(codes(moduli=range(2, 13), max_length=5))
+# codes with a pivot of 4 or 5 whose least image needs the entries above
+# that pivot reduced again once the signs are applied
+@example(LinearCode(8, 4, ((1, 0, 0, 0), (0, 1, 0, 3), (0, 0, 1, 2), (0, 0, 0, 4))))
+@example(LinearCode(10, 4, ((1, 0, 0, 2), (0, 1, 0, 0), (0, 0, 1, 4), (0, 0, 0, 5))))
+def test_canonical_monomial_form_matches_the_full_expansion(code):
+    assert canonical_monomial_form(code).rows == expanded_canonical_form(code)
 
 
 @st.composite

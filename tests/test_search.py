@@ -133,11 +133,15 @@ def test_run_search_matches_brute_force_oracle():
         pytest.param(3, 6, 2, "systematic", 2500, np.uint8, None, id="3-6-2-systematic-2500-uint8"),
         # 343 codes of 343 words each: q**k > 255, so counts are uint16
         pytest.param(7, 4, 3, "systematic", 100, np.uint16, None, id="7-4-3-systematic-100-uint16"),
-        # GF(2): one folded value, bins = n + 1, word coordinates 0..k
+        # GF(2): one folded value, bins = n + 1
         pytest.param(2, 6, 3, "all", 100, np.uint8, None, id="2-6-3-all-100-uint8"),
-        # word coordinates 0..48 over 36 bins; the first 3,000 of 15,625
+        # 36 bins over a 125 x 125 term table; the first 3,000 of 15,625
         # codes, since the scalar oracle takes about 1 ms a code
         pytest.param(5, 5, 3, "systematic", 1100, np.uint8, 3000, id="5-5-3-systematic-1100-uint8-first3000"),
+        # 1,024 bins: the term table and word keys are uint16
+        pytest.param(11, 3, 2, "systematic", 50, np.uint8, None, id="11-3-2-systematic-50-uint8"),
+        # k = 1: a 5 x 5 term table, one word per coefficient
+        pytest.param(5, 4, 1, "all", 40, np.uint8, None, id="5-4-1-all-40-uint8"),
     ],
 )
 def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, limit):
@@ -406,6 +410,17 @@ def test_run_search_guards():
         run_search(5, 6, 3, family="short")
     with pytest.raises(CodeError, match="jobs must be at least 1"):
         run_search(3, 4, 2, jobs=0)
+
+
+def test_orbit_guard_refuses_before_any_scan(monkeypatch):
+    def expand(*args):
+        raise AssertionError("nothing may be scanned or expanded")
+
+    monkeypatch.setattr(search, "_scan_partition", expand)
+    monkeypatch.setattr(search, "_orbit_ids", expand)
+    # (3, 9, 1) has 9,841 codes, and one orbit holds 9! * 2**9 images
+    with pytest.raises(CodeError, match="one monomial orbit needs about"):
+        run_search(3, 9, 1, verify=False)
 
 
 def test_systematic_family_on_small_space():
