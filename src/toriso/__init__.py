@@ -17,8 +17,8 @@ deliberate exceptions.  Each form is eliminated once: a GramForm keeps
 the Bareiss data of its positive-definiteness check, and the
 enumeration walk reuses it.  Every rank comes from the Hermite normal
 form.  The scalar monomial orbit behind
-canonical_monomial_form stays next to the numpy orbit of the scan,
-because verify_tuple uses it as the independent re-check of the scan's
+canonical_monomial_form stays next to the packed orbit of the search,
+because verify_tuple uses it as the independent re-check of the search's
 verdict.  The prime-modulus branch of the canonical code rows stays next
 to the Hermite-form branch, because the modulus selects it and it is
 about 1.5 times faster on the canonical forms verify_tuple takes.

@@ -13,7 +13,7 @@ squared-length contribution of the shortest integer representative, so
 equal weight distributions transfer directly to lattice norm data.
 
 Two paths here overlap with toriso.search on purpose.  The scalar
-monomial orbit behind canonical_monomial_form repeats what the numpy
+monomial orbit behind canonical_monomial_form repeats what the packed
 orbit in search computes; verify_tuple uses it as the independent
 re-check of the scan's inequivalence verdict, so it must not share code
 with the scan.  It row-reduces one image per column permutation P: with

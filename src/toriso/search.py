@@ -9,10 +9,9 @@ code's words).  Each code's distribution of folded-value counts, read
 as one opaque byte row, becomes an exact bucket key (two codes land in
 one bucket if and only if their weight distributions are equal, so
 bucketing loses nothing and a second comparison stage is unnecessary).
-Buckets are then
-partitioned into monomial equivalence classes by orbit subtraction: the
-full signed permutation orbit of one member is expanded, reduced to
-canonical form, and intersected with the bucket, which removes that
+Buckets are then partitioned into monomial equivalence classes by orbit
+subtraction: the full signed permutation orbit of one member is packed,
+in canonical form, and intersected with the bucket, which removes that
 class exactly.  Buckets with at least min_tuple classes survive as
 collision tuples and are re-verified through the scalar code path and
 the lattice correspondence before being reported.
@@ -22,9 +21,26 @@ a column permutation P, with pivot column p(i) in row i, and let D be a
 diagonal matrix of signs s_j = +-1.  R D is still in echelon form with
 the same pivots; only the pivot entry s_p(i) of each row needs scaling
 back to 1, and s^-1 = s because (q - 1)**2 = 1 mod q.  So
-RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod q, one broadcast over all
-sign patterns, and the orbit is exactly the one the 2**n-fold expansion
-gives.
+RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod q, and the orbit is
+exactly the one the 2**n-fold expansion gives.  No image is built: the
+packed id of a code is a sum over its rows, and row i of R packs under
+column signs t to the sum over j of R[i, j] * w or (q - R[i, j]) % q * w
+as t_j is +1 or -1, w being the base-q weight of entry (i, j).  Row i of
+the image under s takes the row signs t = s_p(i) * s, which is s itself
+or its complement -s, and because R[i, j] + (q - R[i, j]) % q is q on a
+nonzero entry and 0 on a zero one, the row packs under -s to q times the
+weights of its nonzero entries minus its value under s.  One pass over
+the n columns thus packs every row under the 2**(n-1) patterns with
+s_0 = +1 (s and -s give one image), and a masked subtraction and a sum
+over the k rows give every packed id.  Over GF(2) the only sign is 1.
+
+Orbit subtraction runs in rounds across all buckets that hold at least
+min_tuple ids: each round takes the least id left in every bucket not
+yet empty as its representative, and one numpy pass packs the orbits of
+a block of representatives, as many as fit a few MiB by the orbit
+estimate.  Membership is a binary search in each sorted orbit.  Each
+bucket's classes come out as its own loop would give them, so the
+rounds change no class.
 
 Codes are tracked as packed base-q integers of their canonical generator
 rows; the orbit minimum of those ids is the canonical monomial form, so
@@ -43,7 +59,7 @@ once, skips the partitions it holds and appends the rest, so its final
 checkpoint is byte-identical to that of an uninterrupted run.
 
 _patterns and _free_positions are the library's one enumeration of
-codes.  The scalar orbit in toriso.codes repeats the numpy orbit here on
+codes.  The scalar orbit in toriso.codes repeats the packed orbit here on
 purpose, as verify_tuple's independent re-check (see that module).
 """
 
@@ -79,6 +95,7 @@ from .spectra import IsoCertificate, Verdict, certify
 MAX_TOTAL_CODES = 50_000_000
 MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition or orbit may allocate
 _COUNT_BLOCK = 1024  # codes per bincount in _scan_partition
+_ORBIT_BLOCK_BYTES = 1 << 22  # orbit estimates of the representatives stacked in one _orbit_rows call
 CHECKPOINT_SCHEMA = 2
 
 
@@ -143,11 +160,12 @@ def _free_positions(n: int, k: int, pivots) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=8)
 def _monomial_tables(q: int, n: int):
-    """Column permutations and column sign patterns (+1/-1) of the
-    signed permutation group; over GF(2) the only sign is 1."""
+    """Column permutations, and the n x 2**n boolean table of the -1
+    entries of the column sign patterns in product((1, -1)) order; over
+    GF(2) the only sign is 1, so there is one pattern and no -1."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    signs = np.array(list(itertools.product((1,) if q == 2 else (1, -1), repeat=n)), dtype=np.int16)
-    return perms, signs
+    neg = np.array(list(itertools.product((False,) if q == 2 else (False, True), repeat=n))).T
+    return perms, neg
 
 
 def _batch_rref(mats: np.ndarray, q: int) -> np.ndarray:
@@ -190,30 +208,33 @@ def _pack(mats: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return flat @ powers
 
 
-def _unpack(code_id: int, q: int, k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    digits = []
-    x = int(code_id)
-    for _ in range(k * n):
-        digits.append(x % q)
-        x //= q
-    digits.reverse()
-    return tuple(tuple(digits[i * n : (i + 1) * n]) for i in range(k))
+def _unpack(ids: np.ndarray, q: int, n: int, powers: np.ndarray) -> np.ndarray:
+    """Generator rows (codes, k, n) of packed code ids."""
+    return (ids[:, None] // powers % q).reshape(len(ids), -1, n)
 
 
-def _orbit_ids(rows, q: int, n: int, powers: np.ndarray) -> np.ndarray:
-    """Sorted unique packed canonical ids of all monomial images.
+def _orbit_rows(reps: np.ndarray, q: int, powers: np.ndarray) -> np.ndarray:
+    """Packed canonical ids of all monomial images of each code in reps
+    (codes, k, n), as one sorted row per code; a row may repeat an id.
 
-    Only the n! column permutations are row-reduced; each sign pattern
-    D is applied to the reduced form R in closed form (module
-    docstring): RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod q, p(i)
-    being the pivot column of row i."""
-    g = np.array(rows, dtype=np.int16)
-    perms, signs = _monomial_tables(q, n)
-    reduced = _batch_rref(np.transpose(g[:, perms], (1, 0, 2)), q)  # (perms, k, n)
-    pivots = np.argmax(reduced != 0, axis=2)  # column 0 on zero rows, which stay zero
-    row_signs = signs[:, pivots]  # (signs, perms, k)
-    canon = (row_signs[..., None] * signs[:, None, None, :] * reduced) % q
-    return np.unique(_pack(canon.reshape(-1, g.size), powers))
+    Only the n! column permutations are row-reduced, and each reduced
+    row is packed in closed form under every sign pattern (module
+    docstring), so no image is ever built."""
+    b, k, n = reps.shape
+    perms, neg = _monomial_tables(q, n)
+    reduced = _batch_rref(reps.astype(np.int16)[:, :, perms].transpose(0, 2, 1, 3).reshape(-1, k, n), q)
+    neg = neg[:, : (neg.shape[1] + 1) // 2]  # the patterns with s_0 = +1
+    packed = np.zeros((len(reduced), k, neg.shape[1]), np.int64)  # row i under column signs t
+    total = np.zeros((len(reduced), k), np.int64)  # weights of row i's nonzero entries
+    for j in range(n):
+        col, w = reduced[:, :, j], powers[j::n]
+        packed += np.where(neg[j], ((q - col) % q * w)[:, :, None], (col * w)[:, :, None])
+        total += (col != 0) * w
+    pivots = np.argmax(reduced != 0, axis=2)  # column 0 on zero rows, which pack to 0 anyway
+    # rows under -s; q * total < 2**63 for odd q, and GF(2) has no -1
+    np.subtract(q * total[:, :, None], packed, out=packed, where=neg[pivots])
+    ids = packed.sum(axis=1)
+    return np.sort(ids.reshape(b, -1), axis=1)
 
 
 def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
@@ -386,6 +407,32 @@ def _checkpoint_save(path, state: bytes):
     os.replace(tmp, path)
 
 
+def _monomial_classes(buckets, q, n, powers, min_tuple, block):
+    """{bucket key: sorted (canonical id, class size) pairs} for every
+    bucket with at least min_tuple monomial classes, by orbit subtraction
+    in rounds: each round takes the least id left in every bucket not yet
+    empty as its representative, stacks up to block representatives per
+    _orbit_rows call, and removes each representative's class from its
+    bucket."""
+    left = {kb: ids for kb, ids in buckets.items() if len(ids) >= min_tuple}
+    classes = {kb: [] for kb in left}
+    active = sorted(left)
+    while active:
+        for lo in range(0, len(active), block):
+            keys = active[lo : lo + block]
+            reps = np.array([left[kb][0] for kb in keys])
+            orbits = _orbit_rows(_unpack(reps, q, n, powers), q, powers)
+            for kb, orbit in zip(keys, orbits):
+                rem = left[kb]
+                member = orbit[np.minimum(np.searchsorted(orbit, rem), orbit.size - 1)] == rem
+                if not member[0]:
+                    raise ArithmeticError("representative must lie in its own orbit")
+                classes[kb].append((int(orbit[0]), int(member.sum())))
+                left[kb] = rem[~member]
+        active = [kb for kb in active if len(left[kb])]
+    return {kb: sorted(found) for kb, found in sorted(classes.items()) if len(found) >= min_tuple}
+
+
 def run_search(
     q: int,
     n: int,
@@ -437,8 +484,11 @@ def run_search(
     table += q ** (2 * k) * np.min_scalar_type(bins).itemsize
     if table > MAX_PARTITION_BYTES:
         raise CodeError(f"one scan partition needs a {table}-byte table, above the {MAX_PARTITION_BYTES} guard")
-    # _orbit_ids holds every image at once: 12 bytes an entry (int16 rows,
-    # their int64 packing) and about 32 an image (packed ids, sorting)
+    # one orbit is estimated at 12 bytes an entry and 32 an image, which
+    # bounds what _orbit_rows holds: about 8 bytes an entry of each of the
+    # n! reductions (int16 copies) and at most 8 * k + 16 an image (packed
+    # rows, their sums, sorting).  The estimate also sizes the blocks of
+    # representatives, and a search it refuses is never scanned
     images = factorial(n) * (1 if q == 2 else 2**n)
     orbit = images * (12 * k * n + 32)
     if orbit > MAX_PARTITION_BYTES:
@@ -483,30 +533,16 @@ def run_search(
     buckets = {kb: np.sort(np.concatenate(parts)) for kb, parts in merged.items()}
 
     collisions = []
-    for kb in sorted(buckets):
-        ids = buckets[kb]
-        if len(ids) < min_tuple:
-            continue
-        rem = ids
-        classes = []
-        while rem.size:
-            rep_rows = _unpack(int(rem[0]), q, k, n)
-            orbit = _orbit_ids(rep_rows, q, n, powers)
-            member = np.isin(rem, orbit, assume_unique=True)
-            if not member[0]:
-                raise ArithmeticError("representative must lie in its own orbit")
-            classes.append((int(orbit.min()), int(member.sum())))
-            rem = rem[~member]
-        if len(classes) < min_tuple:
-            continue
-        classes.sort()
-        codes = tuple(LinearCode(q, n, _unpack(cid, q, k, n)) for cid, _ in classes)
+    block = max(1, _ORBIT_BLOCK_BYTES // orbit)
+    for kb, classes in _monomial_classes(buckets, q, n, powers, min_tuple, block).items():
+        gens = _unpack(np.array([cid for cid, _ in classes]), q, n, powers).tolist()
+        codes = tuple(LinearCode(q, n, tuple(map(tuple, g))) for g in gens)
         sizes = tuple(sz for _, sz in classes)
         if verify:
             tup = verify_tuple(codes)
         else:
             tup = CollisionTuple(codes, tuple(lift(c) for c in codes), weight_distribution(codes[0]))
-        collisions.append(dataclasses.replace(tup, bucket_size=int(len(ids)), class_sizes=sizes))
+        collisions.append(dataclasses.replace(tup, bucket_size=len(buckets[kb]), class_sizes=sizes))
 
     collisions.sort(key=lambda t: tuple(c.rows for c in t.codes))
     return SearchReport(

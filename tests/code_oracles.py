@@ -2,7 +2,7 @@
 
 They share only LinearCode's canonical rows and weight_distribution with
 the library, and none of the scan's pivot-pattern enumeration, codeword
-tables, bucket grouping or numpy orbit code, so agreement with
+tables, bucket grouping or packed orbit code, so agreement with
 toriso.search is evidence rather than circularity.
 """
 
@@ -41,12 +41,24 @@ def all_codes(q, n, k):
     return [seen[rows] for rows in sorted(seen)]
 
 
+def subtract_orbits(q, n, members):
+    """Split canonical rows into monomial classes by subtracting one
+    member's full scalar orbit at a time.  Returns the sorted (least
+    canonical rows of the orbit, class size) pairs."""
+    rest = list(members)
+    classes = []
+    while rest:
+        orbit = {img.rows for img in monomial_images(LinearCode(q, n, min(rest)))}
+        classes.append((min(orbit), sum(rows in orbit for rows in rest)))
+        rest = [rows for rows in rest if rows not in orbit]
+    return sorted(classes)
+
+
 def collide_codes(codes, min_tuple=2):
     """Bucket codes by weight distribution, then split each bucket into
-    monomial classes by subtracting one member's full scalar orbit at a
-    time.  Returns (class representatives, bucket size, class sizes) per
-    bucket with at least min_tuple classes, representatives being the
-    least canonical rows of each orbit, everything sorted."""
+    monomial classes with subtract_orbits.  Returns (class
+    representatives, bucket size, class sizes) per bucket with at least
+    min_tuple classes, everything sorted."""
     buckets = {}
     for c in codes:
         buckets.setdefault(weight_distribution(c), []).append(c)
@@ -54,15 +66,8 @@ def collide_codes(codes, min_tuple=2):
     for members in buckets.values():
         if len(members) < min_tuple:
             continue
-        q, n = members[0].modulus, members[0].length
-        rest = [c.rows for c in members]
-        classes = []
-        while rest:
-            orbit = {img.rows for img in monomial_images(LinearCode(q, n, min(rest)))}
-            classes.append((min(orbit), sum(rows in orbit for rows in rest)))
-            rest = [rows for rows in rest if rows not in orbit]
+        classes = subtract_orbits(members[0].modulus, members[0].length, [c.rows for c in members])
         if len(classes) >= min_tuple:
-            classes.sort()
             out.append((tuple(rows for rows, _ in classes), len(members), tuple(size for _, size in classes)))
     out.sort()
     return out

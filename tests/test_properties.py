@@ -15,7 +15,7 @@ so a scalar orbit holds at most 4! * 2**4 images.
 
 import tempfile
 from collections import Counter
-from math import isqrt, prod
+from math import factorial, isqrt, prod
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from code_oracles import expanded_canonical_form
+from code_oracles import expanded_canonical_form, monomial_images
 from isometry_oracles import ball_shells
 from linalg_oracles import (
     box_oracle,
@@ -51,7 +51,7 @@ from toriso.linalg import (
     lattices_equal,
     lll_reduce,
 )
-from toriso.search import _orbit_ids, _pack, _pack_powers, run_search
+from toriso.search import _orbit_rows, _pack, _pack_powers, run_search
 from toriso.spectra import Verdict, certify
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -130,9 +130,40 @@ def test_canonical_monomial_form_is_the_numpy_orbit_minimum(data):
     image = LinearCode(q, n, tuple(tuple(signs[j] * row[perm[j]] % q for j in range(n)) for row in code.rows))
     canon = canonical_monomial_form(code)
     assert canonical_monomial_form(image) == canon
-    # verify_tuple's scalar re-check and the scan's numpy orbit agree
+    # verify_tuple's scalar re-check and the search's packed orbit agree
     powers = _pack_powers(q, k, n)
-    assert _pack(np.array([canon.rows]), powers)[0] == _orbit_ids(image.rows, q, n, powers)[0]
+    assert _pack(np.array([canon.rows]), powers)[0] == _orbit_rows(np.array([image.rows]), q, powers)[0, 0]
+
+
+@st.composite
+def echelon_rows(draw, q, n, k):
+    """Canonical rows of a rank-k code: k pivots anywhere, free entries
+    after each pivot outside the pivot columns."""
+    pivots = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    rows = [[0] * n for _ in range(k)]
+    for i, p in enumerate(pivots):
+        rows[i][p] = 1
+        for j in range(p + 1, n):
+            if j not in pivots:
+                rows[i][j] = draw(st.integers(0, q - 1))
+    return tuple(map(tuple, rows))
+
+
+@SETTINGS
+@given(st.data())
+def test_stacked_orbit_rows_are_the_scalar_orbits(data):
+    # q = 2 has one sign pattern and no complement
+    q = data.draw(st.sampled_from((2, 3, 5, 7)))
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    reps = data.draw(st.lists(echelon_rows(q, n, k), min_size=1, max_size=4))
+    powers = _pack_powers(q, k, n)
+    rows = _orbit_rows(np.array(reps), q, powers)
+    assert rows.shape == (len(reps), factorial(n) * (1 if q == 2 else 2 ** (n - 1)))  # one id per (P, s = -s)
+    for rep, row in zip(reps, rows):
+        want = {int(_pack(np.array([img.rows]), powers)[0]) for img in monomial_images(LinearCode(q, n, rep))}
+        assert np.unique(row).tolist() == sorted(want)
+        assert np.all(row[:-1] <= row[1:])
 
 
 @SETTINGS

@@ -1,18 +1,19 @@
 import gzip
 import json
 from concurrent.futures import Future
+from math import factorial
 
 import numpy as np
 import pytest
 
-from code_oracles import all_codes, collide_codes, count_row, group_rows, monomial_images
+from code_oracles import all_codes, collide_codes, count_row, group_rows, monomial_images, subtract_orbits
 from toriso import search, triplet
 from toriso.cli import main
 from toriso.codes import CodeError, LinearCode, canonical_monomial_form, weight_distribution
 from toriso.search import (
     TupleVerificationError,
     _batch_rref,
-    _orbit_ids,
+    _orbit_rows,
     _pack,
     _pack_powers,
     _unpack,
@@ -49,9 +50,7 @@ def test_pack_unpack_roundtrip():
     powers = _pack_powers(5, 3, 6)
     rng = np.random.default_rng(3)
     mats = rng.integers(0, 5, size=(50, 3, 6), dtype=np.int16)
-    ids = _pack(mats, powers)
-    for i in range(len(mats)):
-        assert _unpack(int(ids[i]), 5, 3, 6) == tuple(tuple(int(x) for x in r) for r in mats[i])
+    assert np.array_equal(_unpack(_pack(mats, powers), 5, 6, powers), mats)
 
 
 def test_pack_guard_rejects_oversized_space():
@@ -87,9 +86,70 @@ def test_orbit_ids_match_scalar_orbit():
             reps = _orbit_representatives(q, n, k, np.random.default_rng(10 * q + k))
             assert len(reps) == (1 if k == n else 3)
             assert k == n or reps["zero-column"].rows[0][0] == 0  # a non-systematic pivot pattern
-            for code in reps.values():
+            codes = list(reps.values())
+            rows = _orbit_rows(np.array([code.rows for code in codes]), q, powers)  # all in one call
+            for code, row in zip(codes, rows):
                 want = sorted({int(_pack(np.array([img.rows]), powers)[0]) for img in monomial_images(code)})
-                assert _orbit_ids(code.rows, q, n, powers).tolist() == want, (q, k, code.rows)  # sorted, minimum first
+                assert np.all(row[:-1] <= row[1:])  # sorted, minimum first
+                assert np.unique(row).tolist() == want, (q, k, code.rows)
+
+
+def test_orbit_rounds_match_per_bucket_oracle():
+    # the 130 codes of (3, 4, 2) dealt into three buckets by id, so each
+    # bucket holds several classes and is split over several rounds; one
+    # more bucket holds one id of each of three classes, and a one-id
+    # bucket stays below every min_tuple
+    q, n, k = 3, 4, 2
+    powers = _pack_powers(q, k, n)
+    codes = all_codes(q, n, k)
+    ids = np.array([int(_pack(np.array([c.rows]), powers)[0]) for c in codes])
+    buckets = {bytes([r]): ids[ids % 3 == r] for r in range(3)}
+    three = [rows for rows, _ in subtract_orbits(q, n, [c.rows for c in codes])[:3]]
+    buckets[b"three"] = np.sort(_pack(np.array(three), powers))
+    def code_rows(ids):
+        return [tuple(map(tuple, g)) for g in _unpack(np.asarray(ids), q, n, powers).tolist()]
+
+    want = {kb: subtract_orbits(q, n, code_rows(ids)) for kb, ids in buckets.items()}
+    buckets[b"one"] = ids[:1]
+    assert min(len(classes) for classes in want.values()) == 3
+    # every class count is tried as min_tuple
+    for min_tuple in sorted({2} | {len(classes) for classes in want.values()}):
+        for block in (1, 2, 8):
+            got = search._monomial_classes(buckets, q, n, powers, min_tuple, block)
+            got = {kb: [(code_rows([cid])[0], size) for cid, size in classes] for kb, classes in got.items()}
+            assert got == {kb: classes for kb, classes in want.items() if len(classes) >= min_tuple}, (min_tuple, block)
+
+
+def test_orbit_blocks_change_no_output(tmp_path, monkeypatch, capsys):
+    # (2, 6, 3, all): 21 buckets; the collision's bucket of 35 codes is
+    # split over two rounds.  One representative per call, four per call,
+    # and the default block (every open bucket in one call) agree byte for byte
+    def codesearch(name):
+        out = tmp_path / name
+        assert main(["codesearch", "--q", "2", "--n", "6", "--k", "3", "--out", str(out)]) == 0
+        files = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+        return capsys.readouterr().out, files
+
+    orbit = factorial(6) * (12 * 3 * 6 + 32)
+    assert search._ORBIT_BLOCK_BYTES // orbit > 21
+    want = codesearch("default")
+    assert "collisions: 1" in want[0] and len(want[1]) > 2
+    for size in (1, 4 * orbit):
+        monkeypatch.setattr(search, "_ORBIT_BLOCK_BYTES", size)
+        assert codesearch(f"block-{size}") == want
+
+
+def test_representative_outside_its_orbit_raises(monkeypatch):
+    orbit_rows = search._orbit_rows
+
+    def drop_representative(reps, q, powers):
+        rows = orbit_rows(reps, q, powers)
+        return np.sort(np.where(rows == _pack(reps, powers)[:, None], -1, rows), axis=1)
+
+    monkeypatch.setattr(search, "_orbit_rows", drop_representative)
+    # a raised ArithmeticError, not an assert, so the check holds under python -O
+    with pytest.raises(ArithmeticError, match="representative must lie in its own orbit"):
+        run_search(2, 6, 3, family="all", verify=False)
 
 
 def test_collide_codes_positive_control():
@@ -147,18 +207,18 @@ def test_run_search_matches_brute_force_oracle():
 def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, limit):
     assert chunk < search._COUNT_BLOCK or chunk % search._COUNT_BLOCK
     bins = (n + 1) ** (q // 2)
+    powers = _pack_powers(q, k, n)
     seen = []
     for piv in search._patterns(n, k, family):
         total = min(q ** len(search._free_positions(n, k, piv)), limit or np.inf)
         for start in range(0, total, chunk):
             got = search._scan_partition(q, n, k, piv, start, min(start + chunk, total), bins, dtype)
             ids = np.concatenate(list(got.values()))
-            rows = np.array([count_row(LinearCode(q, n, _unpack(i, q, k, n)), dtype) for i in ids])
+            rows = np.array([count_row(LinearCode(q, n, tuple(map(tuple, g))), dtype) for g in _unpack(ids, q, n, powers).tolist()])
             want = group_rows(rows, ids)
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[kb], want[kb]) for kb in want)
             seen += ids.tolist()
-    powers = _pack_powers(q, k, n)
     if family == "all":
         want_ids = [int(_pack(np.array([c.rows]), powers)[0]) for c in all_codes(q, n, k)]
         assert sorted(seen) == sorted(want_ids)
@@ -417,7 +477,7 @@ def test_orbit_guard_refuses_before_any_scan(monkeypatch):
         raise AssertionError("nothing may be scanned or expanded")
 
     monkeypatch.setattr(search, "_scan_partition", expand)
-    monkeypatch.setattr(search, "_orbit_ids", expand)
+    monkeypatch.setattr(search, "_orbit_rows", expand)
     # (3, 9, 1) has 9,841 codes, and one orbit holds 9! * 2**9 images
     with pytest.raises(CodeError, match="one monomial orbit needs about"):
         run_search(3, 9, 1, verify=False)
