@@ -15,7 +15,8 @@ line interface.
 Each exact-arithmetic concept has one implementation, with two
 deliberate exceptions.  Each form is eliminated once: a GramForm keeps
 the Bareiss data of its positive-definiteness check, and the
-enumeration walk reuses it.  Every rank comes from the Hermite normal
+enumeration walk reuses it.  So is each lattice: its reduced basis is
+the one LLL reduction of its Gram form, which the walk runs in.  Every rank comes from the Hermite normal
 form.  The scalar monomial orbit behind
 canonical_monomial_form stays next to the packed orbit of the search,
 because verify_tuple uses it as the independent re-check of the search's
@@ -40,7 +41,6 @@ from .decomposition import (
     Decomposition,
     DecompositionError,
     decompose,
-    is_irreducible,
 )
 from .enumeration import (
     RepSpectrum,
@@ -82,7 +82,6 @@ from .linalg import (
     hnf,
     lattices_equal,
     ldl,
-    lll_reduce,
 )
 from .search import (
     CollisionTuple,

@@ -21,7 +21,7 @@ from .decomposition import DecompositionError, decompose
 from .enumeration import rep_spectrum
 from .isometry import SearchBudgetExceeded, integral_equivalence
 from .lattices import GramForm, Lattice, dual
-from .linalg import Mat, lattices_equal
+from .linalg import Mat, _below_spectrum, _integer_rows, lattices_equal
 from .search import TupleVerificationError, run_search
 from .spectra import Verdict, certify
 
@@ -59,6 +59,8 @@ def _cmd_isometry(args) -> int:
     a = _form_from_file(args.form_a)
     b = _form_from_file(args.form_b)
     lam = formats._parse_entry(args.lambda_bound) if args.lambda_bound else None
+    if lam is not None and not _below_spectrum(*_integer_rows(a.matrix), lam):
+        raise ValueError("--lambda-bound must lie strictly below the smallest eigenvalue of form_a")
     witness = integral_equivalence(a, b, lambda_bound=lam, node_budget=args.node_budget)
 
     def text(w):
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("isometry", _cmd_isometry, "search for an integral equivalence between two forms")
     p.add_argument("form_a")
     p.add_argument("form_b")
-    p.add_argument("--lambda-bound", default=None, help="positive lower bound for the smallest eigenvalue of form_a (rational)")
+    p.add_argument("--lambda-bound", default=None, help="positive rational strictly below the smallest eigenvalue of form_a")
     p.add_argument("--node-budget", type=int, default=None, help="abort after this many search nodes")
 
     p = add("decompose", _cmd_decompose, "orthogonal decomposition of a lattice with certificates")

@@ -38,8 +38,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
-from .linalg import DimensionError, Mat, _integer_rows, _normalize, _row_hnf_int, lll_reduce
-from .lattices import GramForm, Lattice, LatticeError
+from .linalg import DimensionError, Mat, _integer_rows, _normalize, _row_hnf_int
+from .lattices import GramForm, Lattice, LatticeError, _reduced_gram, gram
 
 
 def _canonical_sign(coords: Sequence) -> tuple:
@@ -243,14 +243,14 @@ def rep_spectrum(q: GramForm, bound) -> RepSpectrum:
 
 def _ambient_candidates(l: Lattice, pick: Callable):
     """Enumerate lattice vectors as (ambient vector, norm, coordinates),
-    working in an LLL-reduced basis, up to the bound pick(diagonal of the
-    reduced Gram matrix): min reaches every minimal vector, since each
-    reduced basis vector is a lattice vector; max reaches a full-rank
-    vector set.  The coordinates are the integer ones in that basis."""
-    reduced = lll_reduce(l.basis)
-    q = GramForm(reduced.transpose() @ reduced)
-    bound = pick(q.matrix.at(i, i) for i in range(q.dimension))
-    out = [(_to_ambient(reduced, c), norm, c) for c, norm in enumerate_up_to(q, bound)]
+    walking gram(l) in its LLL-reduced basis up to the bound pick(diagonal
+    of the reduced Gram matrix): min reaches every minimal vector, since
+    each reduced basis vector is a lattice vector; max reaches a full-rank
+    vector set.  The coordinates are the integer ones in l's basis."""
+    q = gram(l)
+    reduced = _reduced_gram(q)[1]
+    bound = pick(reduced.at(i, i) for i in range(q.dimension))
+    out = [(_to_ambient(l.basis, c), norm, c) for c, norm in enumerate_up_to(q, bound)]
     out.sort(key=lambda item: (item[1], _lead_index(item[0]), item[0]))
     return out
 
@@ -287,9 +287,9 @@ def independent_ladder(l: Lattice, count: int) -> tuple[VectorList, ...]:
     Vectors of the same norm that head off into a different extension are
     left for a later stage, so each stage is one norm value and one new
     direction.  Ties inside a stage keep every vector that lands in the
-    chosen extension.  Spans are tracked on the integer coordinates in the
-    reduced basis, where a rank is the length of a Hermite normal form;
-    span membership does not depend on the basis.
+    chosen extension.  Spans are tracked on the integer coordinates in l's
+    basis, where a rank is the length of a Hermite normal form; span
+    membership does not depend on the basis.
     """
     if l.dimension == 0:
         raise LatticeError("empty lattice has no ladder")

@@ -4,7 +4,7 @@ column-candidate backtracking.
 A unimodular U with U^T q1 U = q2 must send the j-th unit vector to some
 x with x^T q1 x = (q2)_jj, so the candidate set for each column is a
 finite exact-norm shell of q1.  Finiteness is certified separately: for
-any positive lower bound L on the smallest eigenvalue of q1, every
+any positive L strictly below the smallest eigenvalue of q1, every
 candidate satisfies |x|^2 <= (q2)_jj / L, and those caps are reported in
 the search statistics.  The search assigns columns in ascending order of
 candidate-set size (fail first), fixes the sign of the first assigned
@@ -83,8 +83,10 @@ def integral_equivalence(
 
     The returned witness carries the search statistics either way; a None
     matrix after a completed search is a certificate of inequivalence.
-    lambda_bound may pass a known positive lower bound on the smallest
-    eigenvalue of q1; otherwise one is certified internally to 1/1000.
+    lambda_bound may pass a positive bound strictly below the smallest
+    eigenvalue of q1; it is taken as given (the command line checks it),
+    and only the reported caps rest on it, since the shells are exact.
+    Without it one is certified internally to 1/1000.
     node_budget caps the number of candidate placements tried.
     """
     if q1.dimension != q2.dimension:

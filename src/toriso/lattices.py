@@ -71,12 +71,20 @@ class GramForm:
         """(h, (u, minors, s)): the change of basis h of the form's LLL
         reduction (_lll) and the Bareiss data of h^T (s q) h."""
         u, minors, s = self._elimination
-        h, u, minors = _lll(u, minors, Fraction(3, 4))
+        h, u, minors = _lll(u, minors)
         return h, (u, minors, s)
 
     @property
     def dimension(self) -> int:
         return self.matrix.rows
+
+
+def _reduced_gram(q: GramForm) -> tuple[Mat, Mat]:
+    """q's LLL change of basis h as a Mat, the identity when _reduction
+    finds none, and the reduced Gram matrix h^T q h."""
+    h = q._reduction[0]
+    h = Mat.identity(q.dimension) if h is None else Mat.from_columns(h)
+    return h, h.transpose() @ q.matrix @ h
 
 
 def _form_det(q: GramForm) -> Fraction:

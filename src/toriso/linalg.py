@@ -338,17 +338,19 @@ def lattices_equal(a: Mat, b: Mat) -> bool:
     return hnf(a.scaled(s)) == hnf(b.scaled(s))
 
 
-def _lll(u: list[list[int]], d: list[int], delta: Fraction) -> tuple[list[list[int]] | None, list[list[int]], list[int]]:
-    """Integral LLL (Cohen, GTM 138, Alg. 2.6.7) of an integer Gram matrix
-    G, started from (u, d) = fraction_free_upper(G): lam[k][j] = u[j][k] is
-    d[j+1] * mu_kj, so every update divides exactly.  Returns the columns h
-    of the change of basis (None for the identity) and the final lam and d
-    as fraction_free_upper(h^T G h); the inputs are left unchanged."""
+def _lll(u: list[list[int]], d: list[int]) -> tuple[list[list[int]] | None, list[list[int]], list[int]]:
+    """Integral LLL with Lovasz constant 3/4 (Cohen, GTM 138, Alg. 2.6.7)
+    of an integer Gram matrix G, started from (u, d) =
+    fraction_free_upper(G): lam[k][j] = u[j][k] is d[j+1] * mu_kj, so every
+    update divides exactly, and the size reductions, in their order, and
+    the swaps are those of Gram-Schmidt over Fraction (Cohen Alg. 2.6.3).
+    Returns the columns h of the change of basis (None for the identity)
+    and the final lam and d as fraction_free_upper(h^T G h); the inputs
+    are left unchanged."""
     n = len(d) - 1
     lam = [[u[j][k] for j in range(k)] for k in range(n)]
     d = list(d)
     h = [[int(i == j) for i in range(n)] for j in range(n)]
-    a, b = delta.numerator, delta.denominator
     k = 1
     while k < n:
         lk = lam[k]
@@ -364,8 +366,8 @@ def _lll(u: list[list[int]], d: list[int], delta: Fraction) -> tuple[list[list[i
                     lk[i] -= t * lj[i]
                 lk[j] -= t * dj
         m = lk[k - 1]
-        # Lovasz: B_k >= (delta - mu^2) B_{k-1}, times d_k d_{k-1} / delta's denominator
-        if b * (d[k + 1] * d[k - 1] + m * m) >= a * d[k] * d[k]:
+        # Lovasz: B_k >= (3/4 - mu^2) B_{k-1}, times 4 d_k d_{k-1}
+        if 4 * (d[k + 1] * d[k - 1] + m * m) >= 3 * d[k] * d[k]:
             k += 1
             continue
         h[k], h[k - 1] = h[k - 1], h[k]
@@ -383,27 +385,20 @@ def _lll(u: list[list[int]], d: list[int], delta: Fraction) -> tuple[list[list[i
     return (None if h == [[int(i == j) for i in range(n)] for j in range(n)] else h), rows, d
 
 
-def lll_reduce(basis: Mat, delta: Fraction = Fraction(3, 4)) -> Mat:
-    """Exact LLL reduction of the columns of a full-rank basis.
-
-    delta is the Lovasz parameter and must satisfy 1/4 < delta < 1.  The
-    returned matrix spans the same lattice and |det| is unchanged.  The
-    integral LLL runs on the Gram matrix s * B^T B with the same size
-    reductions, in the same order, and the same swaps as Gram-Schmidt over
-    Fraction (Cohen Alg. 2.6.3); B times its change of basis is returned.
-    """
-    delta = _rat(delta)
-    if not (Fraction(1, 4) < delta < 1):
-        raise LinalgError("delta must lie strictly between 1/4 and 1")
-    if basis.cols == 0:
-        return basis
+def _below_spectrum(sq: list[list[int]], s: int, mid: Fraction) -> bool:
+    """Whether mid < lambda_min(q), given the rows sq of s * q (_integer_rows):
+    Sylvester's criterion on q - mid*I, by the elimination
+    (fraction_free_upper) that gates every form."""
+    # with mid = a/b the integer rows of b*s*(q - mid*I) are b*(s*q) - a*s*I
+    a, b = mid.numerator, mid.denominator
+    rows = [[b * x for x in row] for row in sq]
+    for i in range(len(rows)):
+        rows[i][i] -= a * s
     try:
-        u, minors = fraction_free_upper(_integer_rows(basis.transpose() @ basis)[0])
+        fraction_free_upper(rows)
     except NotPositiveDefiniteError:
-        # a Gram matrix is positive semidefinite, so a leading minor d_k is 0
-        raise RankError("basis is rank-deficient") from None
-    h = _lll(u, minors, delta)[0]
-    return basis if h is None else basis @ Mat.from_columns(h)
+        return False
+    return True
 
 
 def eigenvalue_lower_bound(q: Mat, eps: Fraction) -> Fraction:
@@ -422,25 +417,11 @@ def eigenvalue_lower_bound(q: Mat, eps: Fraction) -> Fraction:
         raise LinalgError("eps must be positive")
     _positive_definite_data(q)  # raises unless q is positive definite
     sq, s = _integer_rows(q)
-
-    def below_spectrum(mid: Fraction) -> bool:
-        # lambda_min(q) > mid; with mid = a/b the integer rows of
-        # b*s*(q - mid*I) are b*(s*q) - a*s*I
-        a, b = mid.numerator, mid.denominator
-        rows = [[b * x for x in row] for row in sq]
-        for i in range(len(rows)):
-            rows[i][i] -= a * s
-        try:
-            fraction_free_upper(rows)
-        except NotPositiveDefiniteError:
-            return False
-        return True
-
     lo = Fraction(0)
     hi = min(q.at(i, i) for i in range(q.rows))
     while lo == 0 or hi - lo > eps:
         mid = (lo + hi) / 2
-        if below_spectrum(mid):
+        if _below_spectrum(sq, s, mid):
             lo = mid
         else:
             hi = mid

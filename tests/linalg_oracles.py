@@ -12,12 +12,13 @@ sturm_lower_bound decides each bisection step by counting the roots of
 the characteristic polynomial in (0, mid] with a Sturm chain; it shares no
 code with the library's Bareiss positive-definiteness test, so equal
 bounds are evidence that both decide "lambda_min(q) > mid" alike.
-recompute_lll runs the same reductions and swaps as lll_reduce but
-rebuilds the whole Fraction Gram-Schmidt data after each of them, so
-equal bases are evidence that the integral lambda/d updates are exact.
+recompute_lll runs the same reductions and swaps as the integral LLL of
+the basis's Gram form (linalg._lll) but rebuilds the whole Fraction
+Gram-Schmidt data after each of them, so equal bases are evidence that
+the integral lambda/d updates are exact.
 fraction_ladder tracks spans by Fraction Gauss-Jordan rows over the
 ambient vectors, where independent_ladder takes Hermite-form ranks of
-reduced-basis coordinates.  box_oracle scans every coordinate vector of a
+integer coordinates.  box_oracle scans every coordinate vector of a
 box that contains the ball, with no elimination at all.
 """
 
@@ -157,8 +158,9 @@ def sturm_lower_bound(q, eps):
     return lo
 
 
-def recompute_lll(basis, delta=Fraction(3, 4)):
-    """lll_reduce, recomputing Gram-Schmidt after every change of basis."""
+def recompute_lll(basis):
+    """LLL with delta = 3/4 of the basis columns, recomputing Gram-Schmidt
+    after every change of basis."""
     b = [list(basis.column(j)) for j in range(basis.cols)]
     n = len(b)
 
@@ -190,7 +192,7 @@ def recompute_lll(basis, delta=Fraction(3, 4)):
                 t = round(mu[k][j])
                 b[k] = [x - t * y for x, y in zip(b[k], b[j])]
                 mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

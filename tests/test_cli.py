@@ -122,6 +122,13 @@ def test_isometry_not_found_emits_stats(demo_files, capsys):
     assert out == formats.witness_text(witness)
 
 
+def test_isometry_takes_a_bound_below_the_spectrum(demo_files, capsys):
+    # lambda_min(2 * Q1) is about 1.41; the bound is checked, then reported
+    code, out, _ = run(capsys, "isometry", str(demo_files["q1x2"]), str(demo_files["q2x2"]), "--lambda-bound", "1")
+    assert code == 1
+    assert "lambda_bound: 1\n" in out
+
+
 def test_isometry_budget_exit(demo_files, capsys):
     code, _, err = run(capsys, "isometry", str(demo_files["q1x2"]), str(demo_files["q1x2"]), "--node-budget", "2")
     assert code == 2
@@ -245,6 +252,8 @@ def test_codesearch_rejects_huge_spaces_before_building_them(tmp_path, n, k, pro
         (("rep", "id2", "--max", "1e3"), "bad entry"),
         (("isometry", "id2", "id2", "--lambda-bound", "1/0"), "zero denominator"),
         (("isometry", "id2", "id2", "--lambda-bound", "-1"), "positive"),
+        (("isometry", "id2", "id2", "--lambda-bound", "2"), "strictly below the smallest eigenvalue"),
+        (("isometry", "id2", "id2", "--lambda-bound", "1"), "strictly below the smallest eigenvalue"),
         (("project", "a1", "--q", "0"), "at least 2"),
         (("project", "a1", "--q", "1"), "at least 2"),
         (("isospec", "id2", "id2", "--max-t", "-3"), "nonnegative"),

@@ -8,7 +8,6 @@ from toriso.decomposition import (
     Decomposition,
     decompose,
     decompose_form,
-    is_irreducible,
 )
 from toriso.enumeration import enumerate_up_to
 from toriso.lattices import GramForm, Lattice, gram

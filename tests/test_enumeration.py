@@ -6,6 +6,7 @@ import pytest
 
 from linalg_oracles import box_oracle, fraction_ladder, fraction_shortest_vectors
 from toriso import linalg
+from toriso.decomposition import decompose
 from toriso.enumeration import (
     RepSpectrum,
     VectorList,
@@ -283,6 +284,30 @@ def test_certify_and_search_read_det_from_the_gate(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     assert not integral_equivalence(q1, q2, lambda_bound=Fraction(263, 400)).found
     assert calls == {"_positive_definite_data": 0, "fraction_free_upper": 0, "det": 0}
+
+
+def test_a_lattice_is_eliminated_and_reduced_once(monkeypatch):
+    # the lattice's reduced basis is its Gram form's own LLL reduction: one
+    # gate elimination and one LLL per call
+    calls = dict.fromkeys(("fraction_free_upper", "_lll"), 0)
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    reals = {name: getattr(linalg, name) for name in calls}
+    for module in [m for name, m in sys.modules.items() if name.startswith("toriso")]:
+        for name, real in reals.items():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    l = triplet.lattice(1)
+    for call in (decompose, shortest_vectors, lambda l: independent_ladder(l, 6)):
+        calls.update(dict.fromkeys(calls, 0))
+        call(l)
+        assert calls == {"fraction_free_upper": 1, "_lll": 1}
 
 
 def test_vector_list_is_frozen():

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 from collections import Counter
 from fractions import Fraction
 
@@ -57,6 +58,17 @@ def test_norm_caps_published_bound():
 def test_norm_caps_rejects_nonpositive_bound():
     with pytest.raises(ValueError):
         norm_caps(triplet.gram_form(1), triplet.gram_form(2), 0)
+
+
+def test_lambda_bound_only_scales_the_reported_caps():
+    # the shells are exact, so a bound is not checked here and no verdict
+    # rests on it: lambda_min(Q1) is about 0.706, and a bound of 100 changes
+    # the caps alone (the command line rejects it)
+    q1, q2 = triplet.gram_form(1), triplet.gram_form(2)
+    sound = integral_equivalence(q1, q2, lambda_bound=PUBLISHED_LAMBDA)
+    loose = integral_equivalence(q1, q2, lambda_bound=100)
+    assert not loose.found and loose.stats.caps == norm_caps(q1, q2, 100)
+    assert replace(loose.stats, lambda_bound=PUBLISHED_LAMBDA, caps=sound.stats.caps) == sound.stats
 
 
 def test_self_equivalence_found_and_verified():

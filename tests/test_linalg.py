@@ -6,7 +6,7 @@ import pytest
 
 from linalg_oracles import char_poly, count_roots_in, poly_eval, recompute_lll, sturm_lower_bound
 from toriso import triplet
-from toriso.lattices import choir_family, dual, gram
+from toriso.lattices import GramForm, _reduced_gram, choir_family, dual, gram
 from toriso.linalg import (
     DimensionError,
     Mat,
@@ -19,7 +19,6 @@ from toriso.linalg import (
     hnf,
     lattices_equal,
     ldl,
-    lll_reduce,
 )
 from toriso.triplet import Q1_ROWS
 
@@ -202,6 +201,11 @@ def test_lattices_equal_detects_difference():
     assert lattices_equal(b, Mat.from_rows([[1, 2], [1, 0]]))
 
 
+def lll_basis(m):
+    """m times the change of basis of the LLL reduction of its Gram form."""
+    return m @ _reduced_gram(GramForm(m.transpose() @ m))[0]
+
+
 def test_lll_preserves_lattice_and_det():
     rng = random.Random(59)
     for _ in range(40):
@@ -210,31 +214,29 @@ def test_lll_preserves_lattice_and_det():
             m = Mat.from_rows(random_int_matrix(rng, n, -8, 8))
             if det(m) != 0:
                 break
-        r = lll_reduce(m)
+        r = lll_basis(m)
         assert abs(det(r)) == abs(det(m))
         assert lattices_equal(r, m)
 
 
 def test_lll_shortens_a_skewed_basis():
     skew = Mat.from_columns([[1, 0], [1000001, 1]])
-    r = lll_reduce(skew)
+    r = lll_basis(skew)
     norms = sorted(sum(x * x for x in r.column(j)) for j in range(2))
     assert norms[0] <= 2
 
 
-def test_lll_rejects_bad_delta_and_rank():
-    m = Mat.identity(2)
-    with pytest.raises(Exception):
-        lll_reduce(m, Fraction(1, 4))
-    # each Gram matrix has a zero leading minor d_k: k = 2, 3 and 2
+def test_lll_rejects_rank_deficient_bases():
+    # each Gram matrix has a zero leading minor d_k: k = 2, 3 and 2, so the
+    # gate of B^T B stops it before any reduction
     for columns in ([[1, 2], [2, 4]], [[1, 0, 2], [0, 1, 0], [1, 1, 2]], [[1, 2, 3], [2, 4, 6]]):
-        with pytest.raises(RankError):
-            lll_reduce(Mat.from_columns(columns))
+        with pytest.raises(NotPositiveDefiniteError):
+            lll_basis(Mat.from_columns(columns))
 
 
 def test_lll_reduce_takes_no_fraction_products(monkeypatch):
-    # the integral LLL runs on integer Gram rows; B times its change of
-    # basis is one integer-kernel Mat product
+    # the integral LLL runs on integer Gram rows; the reduced Gram matrix
+    # and B times the change of basis are integer-kernel Mat products
     bases = [triplet.basis_matrix(i) for i in (1, 2, 3)] + [dual(triplet.lattice(i)).basis for i in (1, 2, 3)]
     expected = [recompute_lll(m) for m in bases]
     calls = Counter()
@@ -248,7 +250,7 @@ def test_lll_reduce_takes_no_fraction_products(monkeypatch):
     assert Fraction(1, 2) * Fraction(1, 3) / 2 == Fraction(1, 12)
     assert calls == {"__mul__": 1, "__truediv__": 1}
     calls.clear()
-    got = [lll_reduce(m) for m in bases]
+    got = [lll_basis(m) for m in bases]
     assert not calls
     monkeypatch.undo()
     assert got == expected
@@ -359,9 +361,7 @@ def test_lll_reduce_matches_recompute_oracle():
     bases += [dual(triplet.lattice(i)).basis for i in (1, 2, 3)]
     bases += [random_rational_matrix(rng, rng.randint(1, 6)) for _ in range(40)]
     for m in bases:
-        assert lll_reduce(m) == recompute_lll(m)
-    for m in bases[:10]:
-        assert lll_reduce(m, Fraction(99, 100)) == recompute_lll(m, Fraction(99, 100))
+        assert lll_basis(m) == recompute_lll(m)
 
 
 def test_eigenvalue_lower_bound_rejects_indefinite():

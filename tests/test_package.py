@@ -52,3 +52,24 @@ def test_no_floats_in_src():
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 found += [(node.lineno, f"math.{a.name}") for a in node.names if a.name in inexact]
         assert not found, f"{path.name} uses inexact arithmetic: {found}"
+
+
+def test_every_import_is_used():
+    # a name a module imports and never reads is dead weight that deletions
+    # leave behind; lines marked "# noqa: F401" keep a binding on purpose
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    # "import a.b" binds a
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append((alias.lineno, name))
+        assert not unused, f"{path.name} imports names it never uses: {unused}"

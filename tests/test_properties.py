@@ -4,7 +4,9 @@ filtered ball, squared theta series and the packed squaring against the
 convolution loop, certify under
 unimodular maps, the monomial orbit of a code, the eigenvalue bound, LLL
 and the Mat products and inverse against their oracles, the Hermite
-normal form as a canonical lattice basis, and code-search reports and
+normal form as a canonical lattice basis, lattice decompositions,
+minimal vectors and ladders that do not depend on the basis, and
+code-search reports and
 checkpoints that do not depend on --jobs or on a resume.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
@@ -37,8 +39,9 @@ from linalg_oracles import (
 from spectra_oracles import form_direct_sum, loop_squared_counts
 from toriso import spectra
 from toriso.codes import LinearCode, canonical_monomial_form
-from toriso.enumeration import _canonical_sign, _shells, enumerate_up_to, rep_spectrum
-from toriso.lattices import GramForm
+from toriso.enumeration import _canonical_sign, _shells, enumerate_up_to, independent_ladder, rep_spectrum, shortest_vectors
+from toriso.decomposition import decompose
+from toriso.lattices import GramForm, Lattice, _reduced_gram
 from toriso.linalg import (
     DimensionError,
     LinalgError,
@@ -49,7 +52,6 @@ from toriso.linalg import (
     fraction_free_upper,
     hnf,
     lattices_equal,
-    lll_reduce,
 )
 from toriso.search import _orbit_rows, _pack, _pack_powers, run_search
 from toriso.spectra import Verdict, certify
@@ -204,7 +206,18 @@ def bases(draw, max_dim=5):
 @SETTINGS
 @given(bases())
 def test_lll_reduce_is_the_recompute_lll(basis):
-    assert lll_reduce(basis) == recompute_lll(basis)
+    assert basis @ _reduced_gram(GramForm(basis.transpose() @ basis))[0] == recompute_lll(basis)
+
+
+@SETTINGS
+@given(bases())
+def test_lattice_results_do_not_depend_on_the_basis(basis):
+    # each lattice is reduced through its Gram form, so starting from an
+    # LLL-reduced basis of the same lattice changes nothing
+    l, reduced = Lattice(basis), Lattice(recompute_lll(basis))
+    assert decompose(l) == decompose(reduced)
+    assert shortest_vectors(l) == shortest_vectors(reduced)
+    assert independent_ladder(l, l.dimension) == independent_ladder(reduced, l.dimension)
 
 
 @SETTINGS
