@@ -5,10 +5,16 @@ The scan is exact end to end.  Codes are generated per reduced-echelon
 pivot pattern and all their codewords weighed in vectorized batches (a
 word's coordinate c . g[:, j] depends only on the code's column j, so
 each coordinate adds one row of a q**k x q**k term table to all of a
-code's words).  Each code's distribution of folded-value counts, read
-as one opaque byte row, becomes an exact bucket key (two codes land in
-one bucket if and only if their weight distributions are equal, so
-bucketing loses nothing and a second comparison stage is unnecessary).
+code's words).  A word lands in the bin sum of c_w * (n + 1)**(w - 1)
+over the counts c_w of its folded values w = 1..q//2; these sum to at
+most n, so only C(n + q//2, q//2) of the (n + 1)**(q//2) bins can be hit,
+and each code's count row keeps just those columns (a row that does not
+sum to q**k raises, so no word is lost).  Read as one opaque byte string,
+which drops only all-zero columns and so keeps the rows' order, a row is
+an exact bucket key: two codes share one if and only if their weight
+distributions are equal, so bucketing loses nothing.  A partition
+returns its sorted distinct keys and one label, an index into them, per
+code; packed code ids are computed from the id ranges at the merge.
 Buckets are then partitioned into monomial equivalence classes by orbit
 subtraction: the full signed permutation orbit of one member is packed,
 in canonical form, and intersected with the bucket, which removes that
@@ -49,18 +55,19 @@ keys, class representatives, and reported tuples are all sorted, so a
 finished search is byte-for-byte reproducible.
 
 A checkpoint is a sequence of gzip members, one JSON line each: a header
-{"schema": 2, "params": ...} naming the search, then one [key, {hex
-bucket key: code ids}] record per finished partition, in partition
-order.  Each record is encoded and compressed once, when its partition
-finishes, and appended; every save writes the whole byte string to a
-sibling temporary file and renames it over the checkpoint, so a crash
-leaves the previous checkpoint intact.  A resumed search reads the file
-once, skips the partitions it holds and appends the rest, so its final
-checkpoint is byte-identical to that of an uninterrupted run.
+{"schema": 3, "params": ...} naming the search, then one [key, [hex
+bucket keys], hex little-endian labels] record per finished partition,
+in partition order.  Each record is encoded and compressed once, when
+its partition finishes, and appended; every save writes the whole byte
+string to a sibling temporary file and renames it over the checkpoint,
+so a crash leaves the previous checkpoint intact.  A resumed search
+reads the file once, skips the partitions it holds and appends the rest,
+so its final checkpoint is byte-identical to that of an uninterrupted
+run.
 
-_patterns and _free_positions are the library's one enumeration of
-codes.  The scalar orbit in toriso.codes repeats the packed orbit here on
-purpose, as verify_tuple's independent re-check (see that module).
+_patterns, _free_positions and _digits are the library's one enumeration
+of codes.  The scalar orbit in toriso.codes repeats the packed orbit here
+on purpose, as verify_tuple's independent re-check (see that module).
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ MAX_TOTAL_CODES = 50_000_000
 MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition or orbit may allocate
 _COUNT_BLOCK = 1024  # codes per bincount in _scan_partition
 _ORBIT_BLOCK_BYTES = 1 << 22  # orbit estimates of the representatives stacked in one _orbit_rows call
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 
 class TupleVerificationError(RuntimeError):
@@ -150,12 +157,16 @@ def _patterns(n: int, k: int, family: str):
 
 
 def _free_positions(n: int, k: int, pivots) -> list[tuple[int, int]]:
-    out = []
-    for i in range(k):
-        for j in range(pivots[i] + 1, n):
-            if j not in pivots:
-                out.append((i, j))
-    return out
+    return [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+
+
+def _digits(q, n, k, pivots, start, stop):
+    """(free position, base-q digit of each code number start..stop-1)
+    pairs of one pivot pattern, least significant digit first."""
+    x = np.arange(start, stop, dtype=np.int64)
+    for pos in reversed(_free_positions(n, k, pivots)):
+        x, digit = np.divmod(x, q)
+        yield pos, digit
 
 
 @lru_cache(maxsize=8)
@@ -237,54 +248,62 @@ def _orbit_rows(reps: np.ndarray, q: int, powers: np.ndarray) -> np.ndarray:
     return np.sort(ids.reshape(b, -1), axis=1)
 
 
-def _scan_partition(q, n, k, pivots, start, stop, bins, count_dtype):
-    """Exact bucket keys for one id range of one pivot pattern.
+def _reachable(q: int, n: int) -> np.ndarray:
+    """The sorted count-row bins a word can hit: one per multiset of n
+    folded values (0 adds nothing), C(n + q//2, n) of (n + 1)**(q//2)."""
+    terms = [0] + [(n + 1) ** (w - 1) for w in range(1, q // 2 + 1)]
+    return np.unique([sum(terms[w] for w in c) for c in itertools.combinations_with_replacement(range(q // 2 + 1), n)])
 
-    Returns {distribution_bytes: sorted int64 array of packed code ids}.
-    """
-    free = _free_positions(n, k, pivots)
-    fcount = len(free)
-    m = stop - start
-    ids = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((m, fcount), dtype=np.int16)
-    x = ids.copy()
-    for pos in range(fcount - 1, -1, -1):
-        digits[:, pos] = x % q
-        x //= q
-    g = np.zeros((m, k, n), dtype=np.int16)
-    for i in range(k):
-        g[:, i, pivots[i]] = 1
-    for idx, (fi, fj) in enumerate(free):
-        g[:, fi, fj] = digits[:, idx]
+
+def _label_dtype(keys: int) -> np.dtype:
+    return np.dtype("<u1" if keys <= 1 << 8 else "<u2" if keys <= 1 << 16 else "<u4")
+
+
+def _scan_partition(q, n, k, pivots, start, stop, reach, count_dtype):
+    """(keys, labels) of one id range of one pivot pattern: the sorted
+    distinct count rows on the reach columns, as one void array, and each
+    code's index into keys, in code order, as _label_dtype(len(keys))."""
+    g = np.zeros((stop - start, k, n), dtype=np.int16)  # generator rows
+    g[:, range(k), pivots] = 1
+    for (i, j), digit in _digits(q, n, k, pivots, start, stop):
+        g[:, i, j] = digit
 
     # a word's key is sig = sum over folded values w > 0 of (count of w) *
     # (n + 1)**(w - 1) < bins.  Row a of table holds the terms of a code
     # column coeffs[a] in the words of every coefficient vector c (module
     # docstring), so no (codes, words, n) table exists
+    bins = (n + 1) ** (q // 2)
     coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
     fold = np.minimum(np.arange(q), q - np.arange(q))
     term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0).astype(np.min_scalar_type(bins))
     table = term[(coeffs @ coeffs.T) % q]
-    column = np.tensordot(q ** np.arange(k - 1, -1, -1), g, axes=(0, 1))  # (m, n) rows of table
+    column = np.tensordot(q ** np.arange(k - 1, -1, -1), g, axes=(0, 1))  # (codes, n) rows of table
     sig = table[column[:, 0]]
     for j in range(1, n):
         sig += table[column[:, j]]
-    # count block by block into the narrow table: a whole-partition int64
-    # bincount would be the scan's largest allocation
-    dist = np.empty((m, bins), dtype=count_dtype)
+    # count block by block, keeping only the reachable columns: a
+    # whole-partition bincount would be the scan's largest allocation
+    dense = np.empty((len(g), len(reach)), dtype=count_dtype)
     offsets = np.arange(_COUNT_BLOCK, dtype=np.int64)[:, None] * bins
-    for lo in range(0, m, _COUNT_BLOCK):
-        block = sig[lo : lo + _COUNT_BLOCK]
-        rows = len(block)
-        dist[lo : lo + rows] = np.bincount((block + offsets[:rows]).ravel(), minlength=rows * bins).reshape(rows, bins)
-
-    powers = _pack_powers(q, k, n)
-    packed = _pack(g, powers)
+    for lo in range(0, len(g), _COUNT_BLOCK):
+        rows = min(_COUNT_BLOCK, len(g) - lo)
+        dense[lo : lo + rows] = np.bincount((sig[lo : lo + rows] + offsets[:rows]).ravel(), minlength=rows * bins).reshape(rows, bins)[:, reach]
+    # a word outside reach would be lost, and could merge two distributions
+    if np.any(dense.sum(axis=1, dtype=np.int64) != q**k):
+        raise ArithmeticError("a count row lost words outside the reachable bins")
     # each count row as one opaque byte string: equal keys are equal rows
-    rows = dist.view(np.dtype((np.void, bins * dist.itemsize))).ravel()
-    uniq, inverse, counts = np.unique(rows, return_inverse=True, return_counts=True)
-    groups = np.split(packed[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
-    return {u.tobytes(): np.sort(g) for u, g in zip(uniq, groups)}
+    keys, labels = np.unique(dense.view(np.dtype((np.void, dense.shape[1] * dense.itemsize))).ravel(), return_inverse=True)
+    return keys, labels.astype(_label_dtype(len(keys)))
+
+
+def _partition_ids(q, n, k, pivots, start, stop, powers):
+    """Packed ids of the codes start..stop-1 of one pivot pattern, in
+    code order, which is increasing id order: the pivots' constant plus
+    each base-q digit of the code number times its free position's power."""
+    ids = np.full(stop - start, sum(int(powers[i * n + p]) for i, p in enumerate(pivots)), dtype=np.int64)
+    for (i, j), digit in _digits(q, n, k, pivots, start, stop):
+        ids += digit * powers[i * n + j]
+    return ids
 
 
 def _scan_partition_job(args):
@@ -363,9 +382,10 @@ def _checkpoint_member(obj) -> bytes:
     return gzip.compress(json.dumps(obj).encode() + b"\n", compresslevel=6, mtime=0)
 
 
-def _checkpoint_load(path, params, keys):
-    """Finished partitions of a checkpoint and its bytes, to be appended
-    to; a missing file yields no partitions and a fresh header."""
+def _checkpoint_load(path, params, sizes, width):
+    """Finished partitions (keys, labels) of a checkpoint and its bytes, to
+    be appended to; a missing file yields none and a fresh header.  sizes
+    maps each partition of the search to its code count."""
     try:
         state = Path(path).read_bytes()
     except FileNotFoundError:
@@ -380,19 +400,25 @@ def _checkpoint_load(path, params, keys):
         raise CodeError("checkpoint was written by a different search")
     done = {}
     for record in records:
-        try:
-            key, part = record
-            foreign = key not in keys
-            part = {bytes.fromhex(h): np.array(ids, dtype=np.int64) for h, ids in part.items()}
-            if any(ids.ndim != 1 for ids in part.values()):
-                raise ValueError
-        except (AttributeError, TypeError, ValueError, OverflowError):
-            raise CodeError("checkpoint is malformed") from None
-        if foreign:
+        # the partition is checked before anything is decoded
+        if not (isinstance(record, list) and len(record) == 3 and isinstance(record[0], str) and isinstance(record[1], list)):
+            raise CodeError("checkpoint is malformed")
+        key, hex_keys, hex_labels = record
+        if key not in sizes:
             raise CodeError(f"checkpoint holds partition {key!r}, which this search does not have")
         if key in done:
             raise CodeError(f"checkpoint holds partition {key!r} twice")
-        done[key] = part
+        try:
+            keys = [bytes.fromhex(h) for h in hex_keys]
+            # ValueError too on a byte count that is no multiple of the width
+            labels = np.frombuffer(bytes.fromhex(hex_labels), _label_dtype(len(keys)))
+            if any(len(kb) != width for kb in keys) or any(a >= b for a, b in zip(keys, keys[1:])):
+                raise ValueError("keys are not distinct sorted rows")
+            if len(labels) != sizes[key] or np.any(labels >= len(keys)):
+                raise ValueError("labels do not index the keys once a code")
+        except (TypeError, ValueError):
+            raise CodeError("checkpoint is malformed") from None
+        done[key] = np.frombuffer(b"".join(keys), np.dtype((np.void, width))), labels
     return done, state
 
 
@@ -495,16 +521,17 @@ def run_search(
         raise CodeError(f"one monomial orbit needs about {orbit} bytes, above the {MAX_PARTITION_BYTES} guard")
     params = {"q": q, "n": n, "k": k, "family": family, "chunk": chunk_size}
 
-    partitions = []
-    for p_idx, piv in enumerate(patterns):
-        total = totals[p_idx]
-        for c_idx, start in enumerate(range(0, total, chunk_size)):
-            stop = min(start + chunk_size, total)
-            partitions.append((f"{p_idx}:{c_idx}", (q, n, k, piv, start, stop, bins, count_dtype)))
+    reach = _reachable(q, n)
+    partitions = [
+        (f"{p}:{c}", (q, n, k, piv, start, min(start + chunk_size, total), reach, count_dtype))
+        for p, (piv, total) in enumerate(zip(patterns, totals))
+        for c, start in enumerate(range(0, total, chunk_size))
+    ]
 
     done, state = {}, b""
     if checkpoint_path:
-        done, state = _checkpoint_load(checkpoint_path, params, {key for key, _ in partitions})
+        sizes = {key: args[5] - args[4] for key, args in partitions}
+        done, state = _checkpoint_load(checkpoint_path, params, sizes, len(reach) * np.dtype(count_dtype).itemsize)
     pending = [(key, args) for key, args in partitions if key not in done]
 
     arg_list = [a for _, a in pending]
@@ -516,7 +543,8 @@ def run_search(
         for (key, _), result in zip(pending, scans):
             done[key] = result
             if checkpoint_path:
-                state += _checkpoint_member([key, {kb.hex(): ids.tolist() for kb, ids in result.items()}])
+                keys, labels = result
+                state += _checkpoint_member([key, [kb.tobytes().hex() for kb in keys], labels.tobytes().hex()])
                 _checkpoint_save(checkpoint_path, state)
             if progress:
                 progress(len(done), len(partitions))
@@ -526,11 +554,17 @@ def run_search(
             # partitions nobody will read
             pool.shutdown(cancel_futures=True)
 
-    merged: dict[bytes, list] = {}
-    for key, _ in partitions:
-        for kb, ids in done[key].items():
-            merged.setdefault(kb, []).append(ids)
-    buckets = {kb: np.sort(np.concatenate(parts)) for kb, parts in merged.items()}
+    # labels become global bucket numbers, their keys' places among all sorted
+    # distinct keys; a sort by id, then a stable radix sort by bucket, groups ids
+    parts = [done[key] for key, _ in partitions]
+    keys, where = np.unique(np.concatenate([part_keys for part_keys, _ in parts]), return_inverse=True)
+    starts = np.cumsum([0] + [len(part_keys) for part_keys, _ in parts])
+    labels = np.concatenate([where[start:][part_labels] for start, (_, part_labels) in zip(starts, parts)])
+    labels = labels.astype(_label_dtype(len(keys)))
+    ids = np.concatenate([_partition_ids(*args[:6], powers) for _, args in partitions])
+    order = np.argsort(ids)
+    ids = ids[order[np.argsort(labels[order], kind="stable")]]
+    buckets = dict(enumerate(np.split(ids, np.cumsum(np.bincount(labels, minlength=len(keys)))[:-1])))
 
     collisions = []
     block = max(1, _ORBIT_BLOCK_BYTES // orbit)
@@ -545,14 +579,4 @@ def run_search(
         collisions.append(dataclasses.replace(tup, bucket_size=len(buckets[kb]), class_sizes=sizes))
 
     collisions.sort(key=lambda t: tuple(c.rows for c in t.codes))
-    return SearchReport(
-        modulus=q,
-        length=n,
-        dimension=k,
-        family=family,
-        min_tuple=min_tuple,
-        codes_scanned=sum(totals),
-        distinct_distributions=len(buckets),
-        collisions=tuple(collisions),
-        verified=verify,
-    )
+    return SearchReport(q, n, k, family, min_tuple, sum(totals), len(buckets), tuple(collisions), verify)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import rep_spectrum
-from .lattices import GramForm, _form_det, is_even, level
+from .lattices import GramForm, _form_det, _scaled_form, is_even, level
 from .linalg import DimensionError, ShapeError, _denominator_scale, _normalize
 
 
@@ -179,7 +179,8 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
     if doubled:
         notes.append("doubled both forms to reach even entries")
     c = 2 * s if doubled else s
-    qa, qb = (a, b) if c == 1 else (GramForm(a.matrix.scaled(c)), GramForm(b.matrix.scaled(c)))
+    # c is a multiple of each form's own scale: its gate and LLL data carry over
+    qa, qb = (a, b) if c == 1 else (_scaled_form(a, c), _scaled_form(b, c))
 
     # no certificate of the raw pre-scan carries the levels, so they can
     # come first and fix the one enumeration bound each form needs

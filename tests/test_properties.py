@@ -41,7 +41,7 @@ from toriso import spectra
 from toriso.codes import LinearCode, canonical_monomial_form
 from toriso.enumeration import _canonical_sign, _shells, enumerate_up_to, independent_ladder, rep_spectrum, shortest_vectors
 from toriso.decomposition import decompose
-from toriso.lattices import GramForm, Lattice, _reduced_gram
+from toriso.lattices import GramForm, Lattice, _reduced_gram, _scaled_form
 from toriso.linalg import (
     DimensionError,
     LinalgError,
@@ -49,6 +49,7 @@ from toriso.linalg import (
     RankError,
     det,
     eigenvalue_lower_bound,
+    _lll,
     fraction_free_upper,
     hnf,
     lattices_equal,
@@ -277,6 +278,25 @@ def test_reduced_walk_of_a_skewed_conjugate_is_the_box_oracle(q, data):
     assert _shells(form, list(shells)) == shells
     counts = {0: 1, **{t: 2 * len(vecs) for t, vecs in shells.items()}}
     assert {t: c for t, c in rep_spectrum(form, bound).entries if c} == counts
+
+
+@SETTINGS
+@given(st.one_of(forms(max_dim=5).map(lambda f: f.matrix), rational_forms(max_dim=5)), st.integers(1, 4), st.data())
+def test_scaled_form_carries_the_elimination_and_reduction_over(q, t, data):
+    # certify scales each form by a multiple of its own denominator scale;
+    # the derived data must be what eliminating and reducing the scaled
+    # rows gives.  A skewed conjugate makes the LLL do some work
+    u = data.draw(skewing(q.rows))
+    form = GramForm(u.transpose() @ q @ u)
+    c = t * form._elimination[2]
+    scaled = _scaled_form(form, c)
+    assert scaled.matrix == form.matrix.scaled(c)
+    rows, d = fraction_free_upper([[int(x) for x in scaled.matrix.row(i)] for i in range(q.rows)])
+    assert scaled._elimination == (rows, d, 1)
+    h, reduced_rows, reduced_d = _lll(rows, d)
+    assert scaled._reduction == (h, (reduced_rows, reduced_d, 1))
+    with pytest.raises(ValueError):
+        _scaled_form(form, c + 1 if form._elimination[2] > 1 else 0)
 
 
 @SETTINGS

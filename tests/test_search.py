@@ -1,4 +1,5 @@
 import gzip
+import itertools
 import json
 from concurrent.futures import Future
 from math import factorial
@@ -207,23 +208,65 @@ def test_run_search_matches_brute_force_oracle():
 def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, limit):
     assert chunk < search._COUNT_BLOCK or chunk % search._COUNT_BLOCK
     bins = (n + 1) ** (q // 2)
+    reach = search._reachable(q, n)
     powers = _pack_powers(q, k, n)
     seen = []
     for piv in search._patterns(n, k, family):
-        total = min(q ** len(search._free_positions(n, k, piv)), limit or np.inf)
+        free = search._free_positions(n, k, piv)
+        total = min(q ** len(free), limit or np.inf)
         for start in range(0, total, chunk):
-            got = search._scan_partition(q, n, k, piv, start, min(start + chunk, total), bins, dtype)
-            ids = np.concatenate(list(got.values()))
-            rows = np.array([count_row(LinearCode(q, n, tuple(map(tuple, g))), dtype) for g in _unpack(ids, q, n, powers).tolist()])
-            want = group_rows(rows, ids)
+            stop = min(start + chunk, total)
+            keys, labels = search._scan_partition(q, n, k, piv, start, stop, reach, dtype)
+            ids = search._partition_ids(q, n, k, piv, start, stop, powers)
+            # the generator rows of code numbers start..stop-1: pivots, then
+            # the base-q digits of the number over the free positions
+            gens = np.zeros((stop - start, k, n), dtype=np.int64)
+            gens[:, range(k), piv] = 1
+            number = np.arange(start, stop)
+            for fi, fj in reversed(free):
+                gens[:, fi, fj] = number % q
+                number //= q
+            assert np.array_equal(ids, _pack(gens, powers)) and np.all(ids[:-1] < ids[1:])
+            full = np.array([count_row(LinearCode(q, n, tuple(map(tuple, g))), dtype) for g in gens.tolist()])
+            assert not full[:, np.setdiff1d(np.arange(bins), reach)].any()
+            want = group_rows(full[:, reach], ids)
+            assert labels.dtype == search._label_dtype(len(keys)) and len(labels) == len(ids)
+            got = {kb.tobytes(): ids[labels == u] for u, kb in enumerate(keys)}
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[kb], want[kb]) for kb in want)
+            # the sorted dense keys, spread back over all bins, are sorted too
+            sparse = np.zeros((len(keys), bins), dtype=dtype)
+            sparse[:, reach] = np.frombuffer(keys.tobytes(), dtype).reshape(len(keys), -1)
+            sparse = [row.tobytes() for row in sparse]
+            assert sparse == sorted(set(sparse))
             seen += ids.tolist()
     if family == "all":
         want_ids = [int(_pack(np.array([c.rows]), powers)[0]) for c in all_codes(q, n, k)]
         assert sorted(seen) == sorted(want_ids)
     else:
         assert len(set(seen)) == len(seen) == min(q ** (k * (n - k)), limit or np.inf)
+
+
+def test_reachable_bins_are_the_compositions():
+    for q, n in ((2, 6), (3, 4), (5, 6), (7, 5), (11, 3), (19, 3)):
+        # every composition of at most n words over q//2 folded values
+        want = {
+            sum(c * (n + 1) ** w for w, c in enumerate(counts))
+            for counts in itertools.product(range(n + 1), repeat=q // 2)
+            if sum(counts) <= n
+        }
+        assert search._reachable(q, n).tolist() == sorted(want)
+    assert len(search._reachable(7, 5)) == 56 and len(search._reachable(5, 6)) == 28
+
+
+def test_count_rows_that_lose_words_raise(monkeypatch):
+    # a word in a dropped bin must not vanish silently: it could merge two
+    # distributions.  Every bin of (3, 4, 2) is hit, so losing any one raises
+    reach = search._reachable(3, 4)
+    for drop in range(len(reach)):
+        monkeypatch.setattr(search, "_reachable", lambda q, n, drop=drop: np.delete(reach, drop))
+        with pytest.raises(ArithmeticError, match="lost words"):
+            run_search(3, 4, 2, family="all", verify=False)
 
 
 def test_verify_tuple_accepts_bundled_triple():
@@ -333,16 +376,58 @@ def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch):
     assert run_search(3, 4, 2, family="all", min_tuple=2, verify=False, checkpoint_path=path) == want
 
 
+class Stop(Exception):
+    pass
+
+
+def _record(change):
+    """An edit of the first partition record of (3, 4, 2, all)."""
+
+    def edit(lines):
+        key, keys, labels = json.loads(lines[1])
+        return [lines[0], json.dumps(change(key, keys, labels))] + lines[2:]
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, problem",
     [
         # a single-object checkpoint of the format without a schema
         (lambda lines: [json.dumps({"params": json.loads(lines[0])["params"], "partitions": {}})], "schema"),
-        (lambda lines: [lines[0].replace('"schema": 2', '"schema": 3')] + lines[1:], "schema"),
-        (lambda lines: lines + [json.dumps(["0:99", {}])], "does not have"),
-        (lambda lines: lines + lines[-1:], "twice"),
+        (lambda lines: [lines[0].replace('"schema": 3', '"schema": 4')] + lines[1:], "schema"),
+        # both are caught before the record's keys and labels are decoded
+        (lambda lines: lines + [json.dumps(["0:99", ["not hex"], "not hex"])], "does not have"),
+        (lambda lines: lines + [json.dumps([json.loads(lines[-1])[0], ["not hex"], "not hex"])], "twice"),
+        (_record(lambda key, keys, labels: [key, keys]), "malformed"),
+        (_record(lambda key, keys, labels: {key: [keys, labels]}), "malformed"),
+        (_record(lambda key, keys, labels: [key, ["zz" + keys[0][2:]] + keys[1:], labels]), "malformed"),
+        (_record(lambda key, keys, labels: [key, keys, "zz" + labels[2:]]), "malformed"),
+        (_record(lambda key, keys, labels: [key, dict.fromkeys(keys, 0), labels]), "malformed"),
+        (_record(lambda key, keys, labels: [key, [keys[0] + "00"] + keys[1:], labels]), "malformed"),
+        (_record(lambda key, keys, labels: [key, [keys[1], keys[0]] + keys[2:], labels]), "malformed"),
+        (_record(lambda key, keys, labels: [key, [keys[0]] + keys, labels]), "malformed"),
+        (_record(lambda key, keys, labels: [key, keys, labels + "00"]), "malformed"),
+        (_record(lambda key, keys, labels: [key, keys, labels[2:]]), "malformed"),
+        (_record(lambda key, keys, labels: [key, keys, f"{len(keys):02x}" + labels[2:]]), "malformed"),
     ],
-    ids=["no-schema", "unknown-schema", "foreign-partition", "repeated-partition"],
+    ids=[
+        "no-schema",
+        "unknown-schema",
+        "foreign-partition",
+        "repeated-partition",
+        "short-record",
+        "record-not-a-list",
+        "key-not-hex",
+        "labels-not-hex",
+        "keys-not-a-list",
+        "key-width",
+        "keys-out-of-order",
+        "key-repeated",
+        "labels-too-long",
+        "labels-too-short",
+        "label-past-keys",
+    ],
 )
 def test_checkpoint_schema_and_records_are_checked(tmp_path, capsys, edit, problem):
     path = tmp_path / "scan.json.gz"
@@ -350,14 +435,46 @@ def test_checkpoint_schema_and_records_are_checked(tmp_path, capsys, edit, probl
     assert _codesearch(tmp_path, path) == 0
     capsys.readouterr()
     lines = gzip.decompress(path.read_bytes()).decode().splitlines()
+    assert len(json.loads(lines[1])[1]) > 2  # the first partition's keys
     path.write_bytes(gzip.compress("".join(line + "\n" for line in edit(lines)).encode()))
     assert _codesearch(tmp_path, path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and problem in err and "Traceback" not in err
 
 
-class Stop(Exception):
-    pass
+def test_schema_2_checkpoint_is_refused(tmp_path, capsys):
+    # a checkpoint of the previous format: bucket keys over all bins, each
+    # with its packed code ids
+    path = tmp_path / "scan.json.gz"
+    params = {"q": 3, "n": 4, "k": 2, "family": "all", "chunk": 5**6}
+    header = search._checkpoint_member({"schema": 2, "params": params})
+    path.write_bytes(header + search._checkpoint_member(["0:0", {"0100000000": [1, 2]}]))
+    assert _codesearch(tmp_path, path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "schema" in err and "3" in err and "Traceback" not in err
+
+
+def test_checkpoint_of_7_5_2_is_small_and_reproducible(tmp_path):
+    # (7, 5, 2, systematic) in 8 partitions: 370,053 bytes when each record
+    # held every packed code id
+    kwargs = dict(family="systematic", verify=False)
+    full = tmp_path / "full.json.gz"
+    want = run_search(7, 5, 2, checkpoint_path=full, **kwargs)
+    assert full.stat().st_size < 100_000
+    path = tmp_path / "jobs2.json.gz"
+    assert run_search(7, 5, 2, checkpoint_path=path, jobs=2, **kwargs) == want
+    assert path.read_bytes() == full.read_bytes()
+    for cut in range(1, 8):
+        path = tmp_path / f"cut{cut}.json.gz"
+
+        def stop(done, total, cut=cut):
+            if done == cut:
+                raise Stop
+
+        with pytest.raises(Stop):
+            run_search(7, 5, 2, checkpoint_path=path, progress=stop, **kwargs)
+        assert run_search(7, 5, 2, checkpoint_path=path, **kwargs) == want
+        assert path.read_bytes() == full.read_bytes()
 
 
 def test_resumed_search_is_byte_identical(tmp_path):
