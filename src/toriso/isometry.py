@@ -25,7 +25,7 @@ from operator import mul
 
 from .enumeration import _shells, enumerate_up_to  # noqa: F401 (bench/test_bench.py traces this binding)
 from .lattices import GramForm, _form_det
-from .linalg import DimensionError, Mat, _normalize, det, eigenvalue_lower_bound
+from .linalg import DimensionError, Mat, _below_spectrum, _integer_rows, _normalize, det, eigenvalue_lower_bound
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -84,9 +84,9 @@ def integral_equivalence(
     The returned witness carries the search statistics either way; a None
     matrix after a completed search is a certificate of inequivalence.
     lambda_bound may pass a positive bound strictly below the smallest
-    eigenvalue of q1; it is taken as given (the command line checks it),
-    and only the reported caps rest on it, since the shells are exact.
-    Without it one is certified internally to 1/1000.
+    eigenvalue of q1.  Only the caps rest on it, the shells being exact, so
+    a bound not below it is searched too, with a note that the caps certify
+    nothing.  Without it one is certified internally to 1/1000.
     node_budget caps the number of candidate placements tried.
     """
     if q1.dimension != q2.dimension:
@@ -100,6 +100,8 @@ def integral_equivalence(
 
     lam = Fraction(lambda_bound) if lambda_bound is not None else eigenvalue_lower_bound(q1.matrix, Fraction(1, 1000))
     caps = norm_caps(q1, q2, lam)
+    sound = lambda_bound is None or _below_spectrum(*_integer_rows(q1.matrix), lam)
+    lam_notes = () if sound else ("lambda_bound is not below the smallest eigenvalue of q1, so the caps certify nothing",)
 
     diag = [q2.matrix.at(j, j) for j in range(n)]
     shells = _shells(q1, diag)
@@ -115,7 +117,7 @@ def integral_equivalence(
     assigned: list[tuple[int, tuple, tuple, int]] = []  # (column, vec, q1*vec, sign)
 
     def stats_now(notes=()) -> SearchStats:
-        return SearchStats(_normalize(lam), caps, tuple(map(len, buckets)), tuple(order), nodes, tuple(notes))
+        return SearchStats(_normalize(lam), caps, tuple(map(len, buckets)), tuple(order), nodes, lam_notes + tuple(notes))
 
     def place(depth: int) -> bool:
         nonlocal nodes

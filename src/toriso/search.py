@@ -5,16 +5,15 @@ The scan is exact end to end.  Codes are generated per reduced-echelon
 pivot pattern and all their codewords weighed in vectorized batches (a
 word's coordinate c . g[:, j] depends only on the code's column j, so
 each coordinate adds one row of a q**k x q**k term table to all of a
-code's words).  A word lands in the bin sum of c_w * (n + 1)**(w - 1)
-over the counts c_w of its folded values w = 1..q//2; these sum to at
-most n, so only C(n + q//2, q//2) of the (n + 1)**(q//2) bins can be hit,
-and each code's count row keeps just those columns (a row that does not
-sum to q**k raises, so no word is lost).  Read as one opaque byte string,
-which drops only all-zero columns and so keeps the rows' order, a row is
-an exact bucket key: two codes share one if and only if their weight
-distributions are equal, so bucketing loses nothing.  A partition
-returns its sorted distinct keys and one label, an index into them, per
-code; packed code ids are computed from the id ranges at the merge.
+code's words).  A word's sig is the sum of c_w * (n + 1)**(w - 1) over
+the counts c_w <= n of its folded values w = 1..q//2, so it spells the
+word's folded composition in base n + 1, and a search needs
+(n + 1)**(q//2) < 2**63 so that the int64 terms cannot wrap.  A code's
+sorted row of q**k sigs is thus its weight distribution; read as one
+opaque byte string, it is an exact bucket key: two codes share one if
+and only if their weight distributions are equal.  A partition returns
+its sorted distinct keys and one label, an index into them, per code;
+packed code ids are computed from the id ranges at the merge.
 Buckets are then partitioned into monomial equivalence classes by orbit
 subtraction: the full signed permutation orbit of one member is packed,
 in canonical form, and intersected with the bucket, which removes that
@@ -55,7 +54,7 @@ keys, class representatives, and reported tuples are all sorted, so a
 finished search is byte-for-byte reproducible.
 
 A checkpoint is a sequence of gzip members, one JSON line each: a header
-{"schema": 3, "params": ...} naming the search, then one [key, [hex
+{"schema": 4, "params": ...} naming the search, then one [key, [hex
 bucket keys], hex little-endian labels] record per finished partition,
 in partition order.  Each record is encoded and compressed once, when
 its partition finishes, and appended; every save writes the whole byte
@@ -63,7 +62,19 @@ string to a sibling temporary file and renames it over the checkpoint,
 so a crash leaves the previous checkpoint intact.  A resumed search
 reads the file once, skips the partitions it holds and appends the rest,
 so its final checkpoint is byte-identical to that of an uninterrupted
-run.
+run.  A key is q**k sigs of _sig_dtype; schema 3 keyed buckets by count
+rows, which can have the same width, so its files are refused.
+
+Duality: (q, n, n - k) repeats (q, n, k), so only k <= n/2 needs a run.
+lift(C)* = (1/q) lift(C^perp) for the dual code under the product mod q:
+the dual lies in (1/q) Z^n, and z/q pairs integrally with C + qZ^n
+exactly when z mod q is orthogonal to C.  By Poisson summation theta(L*)
+is a function of theta(L), and L, L' are isometric exactly when L*, L'*
+are.  A signed permutation M has M^-T = M, so (C M)^perp = C^perp M, and
+by MacWilliams the dual's weight distribution is an invertible function
+of the code's.  So C -> C^perp carries buckets, classes and tuples one to
+one, on the systematic family too once [I | A]^perp = [-A^T | I] has its
+two column blocks swapped.
 
 _patterns, _free_positions and _digits are the library's one enumeration
 of codes.  The scalar orbit in toriso.codes repeats the packed orbit here
@@ -101,9 +112,8 @@ from .spectra import IsoCertificate, Verdict, certify
 
 MAX_TOTAL_CODES = 50_000_000
 MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition or orbit may allocate
-_COUNT_BLOCK = 1024  # codes per bincount in _scan_partition
 _ORBIT_BLOCK_BYTES = 1 << 22  # orbit estimates of the representatives stacked in one _orbit_rows call
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 
 
 class TupleVerificationError(RuntimeError):
@@ -248,52 +258,45 @@ def _orbit_rows(reps: np.ndarray, q: int, powers: np.ndarray) -> np.ndarray:
     return np.sort(ids.reshape(b, -1), axis=1)
 
 
-def _reachable(q: int, n: int) -> np.ndarray:
-    """The sorted count-row bins a word can hit: one per multiset of n
-    folded values (0 adds nothing), C(n + q//2, n) of (n + 1)**(q//2)."""
-    terms = [0] + [(n + 1) ** (w - 1) for w in range(1, q // 2 + 1)]
-    return np.unique([sum(terms[w] for w in c) for c in itertools.combinations_with_replacement(range(q // 2 + 1), n)])
-
-
 def _label_dtype(keys: int) -> np.dtype:
     return np.dtype("<u1" if keys <= 1 << 8 else "<u2" if keys <= 1 << 16 else "<u4")
 
 
-def _scan_partition(q, n, k, pivots, start, stop, reach, count_dtype):
-    """(keys, labels) of one id range of one pivot pattern: the sorted
-    distinct count rows on the reach columns, as one void array, and each
-    code's index into keys, in code order, as _label_dtype(len(keys))."""
-    g = np.zeros((stop - start, k, n), dtype=np.int16)  # generator rows
-    g[:, range(k), pivots] = 1
-    for (i, j), digit in _digits(q, n, k, pivots, start, stop):
-        g[:, i, j] = digit
+def _sig_dtype(q: int, n: int) -> np.dtype:  # holds every word sig
+    return np.min_scalar_type((n + 1) ** (q // 2) - 1)
 
-    # a word's key is sig = sum over folded values w > 0 of (count of w) *
-    # (n + 1)**(w - 1) < bins.  Row a of table holds the terms of a code
-    # column coeffs[a] in the words of every coefficient vector c (module
-    # docstring), so no (codes, words, n) table exists
-    bins = (n + 1) ** (q // 2)
-    coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
+
+def _scan_partition(q, n, k, pivots, start, stop):
+    """(keys, labels) of one id range of one pivot pattern: the sorted
+    distinct rows of sorted word sigs, as one void array, and each code's
+    index into keys, in code order, as _label_dtype(len(keys))."""
+    # column[:, j]: code column j as a row of table, sum of g[i, j] * q**(k - 1 - i)
+    column = np.zeros((stop - start, n), dtype=np.int64)
+    column[:, list(pivots)] = q ** np.arange(k - 1, -1, -1)  # a pivot column holds a single 1
+    for (i, j), digit in _digits(q, n, k, pivots, start, stop):
+        column[:, j] += digit * q ** (k - 1 - i)
+    # row a of table holds the sig terms of a code column coeffs[a] in the
+    # words of every coefficient vector (module docstring)
+    coeffs = np.indices((q,) * k, dtype=np.int64).reshape(k, -1)  # in product(range(q), repeat=k) order
     fold = np.minimum(np.arange(q), q - np.arange(q))
-    term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0).astype(np.min_scalar_type(bins))
-    table = term[(coeffs @ coeffs.T) % q]
-    column = np.tensordot(q ** np.arange(k - 1, -1, -1), g, axes=(0, 1))  # (codes, n) rows of table
+    term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0).astype(_sig_dtype(q, n))
+    dots = coeffs.T @ coeffs
+    table = term[np.remainder(dots, q, out=dots)]
     sig = table[column[:, 0]]
     for j in range(1, n):
         sig += table[column[:, j]]
-    # count block by block, keeping only the reachable columns: a
-    # whole-partition bincount would be the scan's largest allocation
-    dense = np.empty((len(g), len(reach)), dtype=count_dtype)
-    offsets = np.arange(_COUNT_BLOCK, dtype=np.int64)[:, None] * bins
-    for lo in range(0, len(g), _COUNT_BLOCK):
-        rows = min(_COUNT_BLOCK, len(g) - lo)
-        dense[lo : lo + rows] = np.bincount((sig[lo : lo + rows] + offsets[:rows]).ravel(), minlength=rows * bins).reshape(rows, bins)[:, reach]
-    # a word outside reach would be lost, and could merge two distributions
-    if np.any(dense.sum(axis=1, dtype=np.int64) != q**k):
-        raise ArithmeticError("a count row lost words outside the reachable bins")
-    # each count row as one opaque byte string: equal keys are equal rows
-    keys, labels = np.unique(dense.view(np.dtype((np.void, dense.shape[1] * dense.itemsize))).ravel(), return_inverse=True)
+    # a stable sort of 1-byte sigs is a radix sort
+    sig.sort(axis=1, kind="stable" if sig.itemsize == 1 else None)
+    keys, labels = np.unique(sig.view(np.dtype((np.void, sig.shape[1] * sig.itemsize))).ravel(), return_inverse=True)
     return keys, labels.astype(_label_dtype(len(keys)))
+
+
+def _scan_bytes(q, n, k, rows):
+    """Bytes _scan_partition allocates at most for rows codes: per code, n
+    int64 column indices, 4 rows of q**k sigs, np.unique's 3 int64 and 1 bool
+    indices; int64 coefficients, q**k x q**k products, term table; 64 KiB."""
+    size = _sig_dtype(q, n).itemsize
+    return rows * (8 * n + 4 * q**k * size + 25) + q ** (2 * k) * (8 + size) + 8 * k * q**k + (1 << 16)
 
 
 def _partition_ids(q, n, k, pivots, start, stop, powers):
@@ -486,6 +489,8 @@ def run_search(
         raise CodeError(f"(q - 1)**2 = {(q - 1) ** 2} overflows the orbit's 16-bit words")
     if not _is_prime(q):
         raise CodeError("search requires a prime modulus")
+    if (n + 1) ** (q // 2) >= 1 << 63:  # bounds every word sig; q < 182 here
+        raise CodeError(f"word sigs up to (n + 1)**(q // 2) = {n + 1}**{q // 2} do not fit the 63 bits of the term table")
     if min_tuple < 2:
         raise CodeError("min_tuple must be at least 2")
     if jobs < 1:
@@ -501,15 +506,9 @@ def run_search(
     if sum(totals) > MAX_TOTAL_CODES:
         raise CodeError(f"family holds {sum(totals)} codes, above the {MAX_TOTAL_CODES} guard")
 
-    bins = (n + 1) ** (q // 2)
-    count_dtype = np.uint8 if q**k <= 255 else np.uint16
-    # a partition holds one count row of bins entries and one word term
-    # per (code, codeword), and the q**k x q**k term table
-    rows = min(chunk_size, max(totals))
-    table = rows * max(bins * np.dtype(count_dtype).itemsize, q**k * 2)
-    table += q ** (2 * k) * np.min_scalar_type(bins).itemsize
-    if table > MAX_PARTITION_BYTES:
-        raise CodeError(f"one scan partition needs a {table}-byte table, above the {MAX_PARTITION_BYTES} guard")
+    scan = _scan_bytes(q, n, k, min(chunk_size, max(totals)))
+    if scan > MAX_PARTITION_BYTES:
+        raise CodeError(f"one scan partition needs a {scan}-byte table, above the {MAX_PARTITION_BYTES} guard")
     # one orbit is estimated at 12 bytes an entry and 32 an image, which
     # bounds what _orbit_rows holds: about 8 bytes an entry of each of the
     # n! reductions (int16 copies) and at most 8 * k + 16 an image (packed
@@ -521,9 +520,8 @@ def run_search(
         raise CodeError(f"one monomial orbit needs about {orbit} bytes, above the {MAX_PARTITION_BYTES} guard")
     params = {"q": q, "n": n, "k": k, "family": family, "chunk": chunk_size}
 
-    reach = _reachable(q, n)
     partitions = [
-        (f"{p}:{c}", (q, n, k, piv, start, min(start + chunk_size, total), reach, count_dtype))
+        (f"{p}:{c}", (q, n, k, piv, start, min(start + chunk_size, total)))
         for p, (piv, total) in enumerate(zip(patterns, totals))
         for c, start in enumerate(range(0, total, chunk_size))
     ]
@@ -531,7 +529,7 @@ def run_search(
     done, state = {}, b""
     if checkpoint_path:
         sizes = {key: args[5] - args[4] for key, args in partitions}
-        done, state = _checkpoint_load(checkpoint_path, params, sizes, len(reach) * np.dtype(count_dtype).itemsize)
+        done, state = _checkpoint_load(checkpoint_path, params, sizes, q**k * _sig_dtype(q, n).itemsize)
     pending = [(key, args) for key, args in partitions if key not in done]
 
     arg_list = [a for _, a in pending]
@@ -561,7 +559,7 @@ def run_search(
     starts = np.cumsum([0] + [len(part_keys) for part_keys, _ in parts])
     labels = np.concatenate([where[start:][part_labels] for start, (_, part_labels) in zip(starts, parts)])
     labels = labels.astype(_label_dtype(len(keys)))
-    ids = np.concatenate([_partition_ids(*args[:6], powers) for _, args in partitions])
+    ids = np.concatenate([_partition_ids(*args, powers) for _, args in partitions])
     order = np.argsort(ids)
     ids = ids[order[np.argsort(labels[order], kind="stable")]]
     buckets = dict(enumerate(np.split(ids, np.cumsum(np.bincount(labels, minlength=len(keys)))[:-1])))

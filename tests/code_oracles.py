@@ -41,6 +41,22 @@ def all_codes(q, n, k):
     return [seen[rows] for rows in sorted(seen)]
 
 
+def dual_code(code):
+    """C^perp under the standard product mod a prime q, read off the
+    canonical rows R: one word per non-pivot column f, 1 at f and
+    -R[i][f] at the pivot of each row i."""
+    q, n, rows = code.modulus, code.length, code.rows
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    words = []
+    for f in (f for f in range(n) if f not in pivots):
+        word = [0] * n
+        word[f] = 1
+        for r, p in zip(rows, pivots):
+            word[p] = -r[f] % q
+        words.append(tuple(word))
+    return LinearCode(q, n, tuple(words))
+
+
 def subtract_orbits(q, n, members):
     """Split canonical rows into monomial classes by subtracting one
     member's full scalar orbit at a time.  Returns the sorted (least

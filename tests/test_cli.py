@@ -210,12 +210,12 @@ def test_codesearch_cap_exceeded(tmp_path, capsys):
 @pytest.mark.parametrize(
     "q, n, k, problem",
     [
-        # 83,521 systematic codes pass the code guard, but (n + 1)**(q // 2) =
-        # 1,679,616 count bins per code would be a 26 GB table per partition
-        ("17", "5", "1", "-byte table, above the"),
+        # one code, but its 6,859 words make a 6,859 x 6,859 table of int64
+        # coefficient products (376 MB) before the uint32 term table
+        ("19", "3", "3", "-byte table, above the"),
         # (q - 1)**2 = 36,100 would wrap the orbit's int16 row reduction
         ("191", "2", "1", "16-bit words"),
-        # one code, but its 14,641 words make a 14,641 x 14,641 uint16 term table
+        # one code, but its 14,641 words make a 14,641 x 14,641 term table
         ("11", "4", "4", "-byte table, above the"),
         # 9! * 2**9 monomial images of one code, about 26 GB by the orbit estimate
         ("3", "9", "1", "one monomial orbit needs about"),
@@ -225,6 +225,15 @@ def test_codesearch_rejects_oversized_tables(tmp_path, capsys, q, n, k, problem)
     code, _, err = run(capsys, "codesearch", "--q", q, "--n", n, "--k", k, "--family", "systematic", "--out", str(tmp_path / "x"))
     assert code == 2
     assert err.startswith("error:") and problem in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_codesearch_refuses_word_sigs_past_63_bits(tmp_path):
+    # the sigs of (83, 2, 1) are 41 base-3 digits, up to 2 * 3**40, a
+    # 65-bit number that would wrap the int64 term table
+    done = run_process("codesearch", "--q", "83", "--n", "2", "--k", "1", "--family", "all", "--out", str(tmp_path / "x"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "63 bits" in done.stderr and "Traceback" not in done.stderr
     assert not (tmp_path / "x").exists()
 
 

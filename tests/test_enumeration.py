@@ -261,7 +261,8 @@ def test_form_and_enumeration_eliminate_once(monkeypatch, walk):
 def test_certify_and_search_read_det_from_the_gate(monkeypatch):
     # det q is minors[n] / s^n of the gate's elimination: neither certify
     # nor the search eliminates a form beyond its GramForm gate (the search
-    # is given its eigenvalue bound, whose bisection eliminates), and
+    # is given its eigenvalue bound, whose bisection eliminates, and makes
+    # the one elimination of q1 - lambda I that tests that bound), and
     # certify derives its doubled forms' gate data from the forms' own
     q1, q2 = triplet.gram_form(1), triplet.gram_form(2)
     dets = (det(q1.matrix), det(q2.matrix))
@@ -283,7 +284,7 @@ def test_certify_and_search_read_det_from_the_gate(monkeypatch):
     assert calls == {"_positive_definite_data": 0, "fraction_free_upper": 0, "det": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert not integral_equivalence(q1, q2, lambda_bound=Fraction(263, 400)).found
-    assert calls == {"_positive_definite_data": 0, "fraction_free_upper": 0, "det": 0}
+    assert calls == {"_positive_definite_data": 0, "fraction_free_upper": 1, "det": 0}
 
 
 def test_a_lattice_is_eliminated_and_reduced_once(monkeypatch):

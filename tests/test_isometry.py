@@ -22,6 +22,9 @@ from toriso.linalg import Mat, det
 from toriso import triplet
 
 PUBLISHED_LAMBDA = Fraction(263, 400)
+# below the smallest eigenvalue of each triplet form, about 0.706, 0.560, 0.566
+SOUND_LAMBDA = {1: PUBLISHED_LAMBDA, 2: Fraction(1, 2), 3: Fraction(1, 2)}
+UNSOUND_NOTE = "lambda_bound is not below the smallest eigenvalue of q1, so the caps certify nothing"
 
 
 def random_spd(rng: random.Random, n: int) -> GramForm:
@@ -61,14 +64,29 @@ def test_norm_caps_rejects_nonpositive_bound():
 
 
 def test_lambda_bound_only_scales_the_reported_caps():
-    # the shells are exact, so a bound is not checked here and no verdict
-    # rests on it: lambda_min(Q1) is about 0.706, and a bound of 100 changes
-    # the caps alone (the command line rejects it)
+    # the shells are exact, so no verdict rests on a bound: lambda_min(Q1)
+    # is about 0.706, and a bound of 100 changes the caps alone, and says
+    # that they certify nothing (the command line rejects it)
     q1, q2 = triplet.gram_form(1), triplet.gram_form(2)
     sound = integral_equivalence(q1, q2, lambda_bound=PUBLISHED_LAMBDA)
     loose = integral_equivalence(q1, q2, lambda_bound=100)
     assert not loose.found and loose.stats.caps == norm_caps(q1, q2, 100)
-    assert replace(loose.stats, lambda_bound=PUBLISHED_LAMBDA, caps=sound.stats.caps) == sound.stats
+    assert loose.stats.notes == (UNSOUND_NOTE,) and sound.stats.notes == ()
+    assert replace(loose.stats, lambda_bound=PUBLISHED_LAMBDA, caps=sound.stats.caps, notes=()) == sound.stats
+
+
+def test_published_lambda_certifies_the_caps_of_q1_only():
+    # 263/400 lies below lambda_min(Q1), about 0.706, but above those of
+    # Q2 and Q3, about 0.560 and 0.566; either search still proves the pair
+    # non-isometric, and no note speaks of a budget
+    forms = {i: triplet.gram_form(i) for i in (1, 2, 3)}
+    for i, j in ((1, 2), (2, 3), (3, 1)):
+        w = integral_equivalence(forms[i], forms[j], lambda_bound=PUBLISHED_LAMBDA)
+        assert not w.found and w.stats.lambda_bound == PUBLISHED_LAMBDA
+        assert w.stats.notes == (() if i == 1 else (UNSOUND_NOTE,))
+        assert not any("budget" in note for note in w.stats.notes)
+        sound = integral_equivalence(forms[i], forms[j], lambda_bound=SOUND_LAMBDA[i])
+        assert replace(w.stats, lambda_bound=SOUND_LAMBDA[i], caps=sound.stats.caps, notes=()) == sound.stats
 
 
 def test_self_equivalence_found_and_verified():
@@ -173,9 +191,9 @@ def test_search_matches_the_ball_and_filter_oracle():
     # shells filtered out of the whole ball with every product up front
     forms = {i: triplet.gram_form(i) for i in (1, 2, 3)}
     for i, j in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)):
-        got = integral_equivalence(forms[i], forms[j], lambda_bound=PUBLISHED_LAMBDA)
-        assert not got.found
-        assert got == eager_integral_equivalence(forms[i], forms[j], lambda_bound=PUBLISHED_LAMBDA)
+        got = integral_equivalence(forms[i], forms[j], lambda_bound=SOUND_LAMBDA[i])
+        assert not got.found and got.stats.notes == ()
+        assert got == eager_integral_equivalence(forms[i], forms[j], lambda_bound=SOUND_LAMBDA[i])
     rng = random.Random(20261018)
     for q in forms.values():
         for _ in range(20):

@@ -1,13 +1,13 @@
 import gzip
-import itertools
 import json
+import tracemalloc
 from concurrent.futures import Future
 from math import factorial
 
 import numpy as np
 import pytest
 
-from code_oracles import all_codes, collide_codes, count_row, group_rows, monomial_images, subtract_orbits
+from code_oracles import all_codes, collide_codes, count_row, dual_code, group_rows, monomial_images, subtract_orbits
 from toriso import search, triplet
 from toriso.cli import main
 from toriso.codes import CodeError, LinearCode, canonical_monomial_form, weight_distribution
@@ -189,26 +189,25 @@ def test_run_search_matches_brute_force_oracle():
     [
         # 130 codes in 11 partitions
         pytest.param(3, 4, 2, "all", 20, np.uint8, None, id="3-4-2-all-20-uint8"),
-        # 6,561 codes in partitions of 2,500, 2,500 and 1,561, none a whole
-        # number of count blocks
+        # 6,561 codes in partitions of 2,500, 2,500 and 1,561
         pytest.param(3, 6, 2, "systematic", 2500, np.uint8, None, id="3-6-2-systematic-2500-uint8"),
-        # 343 codes of 343 words each: q**k > 255, so counts are uint16
+        # 343 codes of 343 words each: the oracle's counts need uint16
         pytest.param(7, 4, 3, "systematic", 100, np.uint16, None, id="7-4-3-systematic-100-uint16"),
-        # GF(2): one folded value, bins = n + 1
+        # GF(2): one folded value, sigs 0..n
         pytest.param(2, 6, 3, "all", 100, np.uint8, None, id="2-6-3-all-100-uint8"),
-        # 36 bins over a 125 x 125 term table; the first 3,000 of 15,625
-        # codes, since the scalar oracle takes about 1 ms a code
+        # sigs below 36 over a 125 x 125 term table; the first 3,000 of
+        # 15,625 codes, since the scalar oracle takes about 1 ms a code
         pytest.param(5, 5, 3, "systematic", 1100, np.uint8, 3000, id="5-5-3-systematic-1100-uint8-first3000"),
-        # 1,024 bins: the term table and word keys are uint16
+        # sigs below 4**5 = 1,024: the term table and the keys are uint16
         pytest.param(11, 3, 2, "systematic", 50, np.uint8, None, id="11-3-2-systematic-50-uint8"),
         # k = 1: a 5 x 5 term table, one word per coefficient
         pytest.param(5, 4, 1, "all", 40, np.uint8, None, id="5-4-1-all-40-uint8"),
     ],
 )
 def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, limit):
-    assert chunk < search._COUNT_BLOCK or chunk % search._COUNT_BLOCK
     bins = (n + 1) ** (q // 2)
-    reach = search._reachable(q, n)
+    sig_dtype = search._sig_dtype(q, n)
+    assert sig_dtype == (np.uint16 if q == 11 else np.uint8)
     powers = _pack_powers(q, k, n)
     seen = []
     for piv in search._patterns(n, k, family):
@@ -216,7 +215,7 @@ def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, li
         total = min(q ** len(free), limit or np.inf)
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
-            keys, labels = search._scan_partition(q, n, k, piv, start, stop, reach, dtype)
+            keys, labels = search._scan_partition(q, n, k, piv, start, stop)
             ids = search._partition_ids(q, n, k, piv, start, stop, powers)
             # the generator rows of code numbers start..stop-1: pivots, then
             # the base-q digits of the number over the free positions
@@ -228,17 +227,16 @@ def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, li
                 number //= q
             assert np.array_equal(ids, _pack(gens, powers)) and np.all(ids[:-1] < ids[1:])
             full = np.array([count_row(LinearCode(q, n, tuple(map(tuple, g))), dtype) for g in gens.tolist()])
-            assert not full[:, np.setdiff1d(np.arange(bins), reach)].any()
-            want = group_rows(full[:, reach], ids)
+            # two codes share a label exactly when their oracle rows are equal
             assert labels.dtype == search._label_dtype(len(keys)) and len(labels) == len(ids)
-            got = {kb.tobytes(): ids[labels == u] for u, kb in enumerate(keys)}
-            assert got.keys() == want.keys()
-            assert all(np.array_equal(got[kb], want[kb]) for kb in want)
-            # the sorted dense keys, spread back over all bins, are sorted too
-            sparse = np.zeros((len(keys), bins), dtype=dtype)
-            sparse[:, reach] = np.frombuffer(keys.tobytes(), dtype).reshape(len(keys), -1)
-            sparse = [row.tobytes() for row in sparse]
-            assert sparse == sorted(set(sparse))
+            got = sorted(ids[labels == u].tolist() for u in range(len(keys)))
+            assert got == sorted(group.tolist() for group in group_rows(full, ids).values())
+            # keys are distinct, increasing, q**k sigs wide, and each is its
+            # codes' oracle row spelled out as sorted sigs
+            assert keys.dtype.itemsize == q**k * sig_dtype.itemsize
+            spelled = [kb.tobytes() for kb in keys]
+            assert all(a < b for a, b in zip(spelled, spelled[1:]))
+            assert [spelled[u] for u in labels] == [np.repeat(np.arange(bins), row).astype(sig_dtype).tobytes() for row in full]
             seen += ids.tolist()
     if family == "all":
         want_ids = [int(_pack(np.array([c.rows]), powers)[0]) for c in all_codes(q, n, k)]
@@ -247,26 +245,53 @@ def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, li
         assert len(set(seen)) == len(seen) == min(q ** (k * (n - k)), limit or np.inf)
 
 
-def test_reachable_bins_are_the_compositions():
-    for q, n in ((2, 6), (3, 4), (5, 6), (7, 5), (11, 3), (19, 3)):
-        # every composition of at most n words over q//2 folded values
-        want = {
-            sum(c * (n + 1) ** w for w, c in enumerate(counts))
-            for counts in itertools.product(range(n + 1), repeat=q // 2)
-            if sum(counts) <= n
-        }
-        assert search._reachable(q, n).tolist() == sorted(want)
-    assert len(search._reachable(7, 5)) == 56 and len(search._reachable(5, 6)) == 28
+def test_62_bit_sigs_bucket_like_the_scalar_distribution():
+    # 79 is the largest prime q whose length-2 sigs, below 3**39, fit under
+    # 2**63; they take uint64
+    assert 3**39 < 2**63 < 3**41 and search._sig_dtype(79, 2) == np.uint64
+    codes = all_codes(79, 2, 1)
+    rep = run_search(79, 2, 1, family="all", verify=False)
+    assert rep.codes_scanned == len(codes) == 80
+    assert rep.distinct_distributions == len({weight_distribution(c) for c in codes}) == 21
+    got = [(tuple(c.rows for c in t.codes), t.bucket_size, t.class_sizes) for t in rep.collisions]
+    assert got == collide_codes(codes)
 
 
-def test_count_rows_that_lose_words_raise(monkeypatch):
-    # a word in a dropped bin must not vanish silently: it could merge two
-    # distributions.  Every bin of (3, 4, 2) is hit, so losing any one raises
-    reach = search._reachable(3, 4)
-    for drop in range(len(reach)):
-        monkeypatch.setattr(search, "_reachable", lambda q, n, drop=drop: np.delete(reach, drop))
-        with pytest.raises(ArithmeticError, match="lost words"):
-            run_search(3, 4, 2, family="all", verify=False)
+@pytest.mark.parametrize(
+    "q, n, k, family",
+    [(17, 3, 1, "all"), (7, 5, 2, "systematic"), (5, 6, 3, "systematic"), (17, 4, 2, "systematic")],
+)
+def test_scan_partition_peaks_within_the_guard_estimate(q, n, k, family):
+    # the largest partition of each: 289 codes of 17 uint16 sigs, then
+    # 15,625 codes of 49 and 125 uint8 sigs and of 289 uint32 sigs
+    piv = search._patterns(n, k, family)[0]
+    rows = min(5**6, q ** len(search._free_positions(n, k, piv)))
+    search._scan_partition(q, n, k, piv, 0, rows)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        search._scan_partition(q, n, k, piv, 0, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= search._scan_bytes(q, n, k, rows) <= search.MAX_PARTITION_BYTES
+
+
+@pytest.mark.parametrize(
+    "q, n, k, family", [(5, 5, 2, "systematic"), (7, 5, 2, "systematic"), (2, 7, 3, "all"), (3, 5, 2, "all")]
+)
+def test_dual_families_have_matching_buckets_and_classes(q, n, k, family):
+    # C -> C^perp carries the buckets and classes of (q, n, k) one to one
+    # onto those of (q, n, n - k) (module docstring), tuples onto tuples
+    rep = run_search(q, n, k, family=family, verify=False)
+    dual = run_search(q, n, n - k, family=family, verify=False)
+
+    def sizes(report):
+        return sorted((t.bucket_size, tuple(sorted(t.class_sizes))) for t in report.collisions)
+
+    assert (rep.codes_scanned, rep.distinct_distributions) == (dual.codes_scanned, dual.distinct_distributions)
+    assert sizes(rep) == sizes(dual)
+    duals = sorted(sorted(canonical_monomial_form(dual_code(c)).rows for c in t.codes) for t in rep.collisions)
+    assert duals == sorted(sorted(c.rows for c in t.codes) for t in dual.collisions)
 
 
 def test_verify_tuple_accepts_bundled_triple():
@@ -395,7 +420,7 @@ def _record(change):
     [
         # a single-object checkpoint of the format without a schema
         (lambda lines: [json.dumps({"params": json.loads(lines[0])["params"], "partitions": {}})], "schema"),
-        (lambda lines: [lines[0].replace('"schema": 3', '"schema": 4')] + lines[1:], "schema"),
+        (lambda lines: [lines[0].replace('"schema": 4', '"schema": 5')] + lines[1:], "schema"),
         # both are caught before the record's keys and labels are decoded
         (lambda lines: lines + [json.dumps(["0:99", ["not hex"], "not hex"])], "does not have"),
         (lambda lines: lines + [json.dumps([json.loads(lines[-1])[0], ["not hex"], "not hex"])], "twice"),
@@ -443,15 +468,21 @@ def test_checkpoint_schema_and_records_are_checked(tmp_path, capsys, edit, probl
 
 
 def test_schema_2_checkpoint_is_refused(tmp_path, capsys):
-    # a checkpoint of the previous format: bucket keys over all bins, each
-    # with its packed code ids
+    # checkpoints of the two previous formats: schema 2 held bucket keys
+    # over all bins, each with its packed code ids, and schema 3 count rows
+    # over the reachable bins and one label per code, a record of which is
+    # the first partition of (3, 4, 2, all) below
     path = tmp_path / "scan.json.gz"
     params = {"q": 3, "n": 4, "k": 2, "family": "all", "chunk": 5**6}
-    header = search._checkpoint_member({"schema": 2, "params": params})
-    path.write_bytes(header + search._checkpoint_member(["0:0", {"0100000000": [1, 2]}]))
-    assert _codesearch(tmp_path, path) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "schema" in err and "3" in err and "Traceback" not in err
+    count_rows = ["0100000800", "0100020402", "0100040004", "0100060200", "0102000204", "0102020400", "0104040000"]
+    labels = "0605050504040504040503030201010201010503030201010201010502020301010301010401010101000100010401010100010101"
+    labels += "00050202030101030101040101010001010100040101010100010001"
+    for schema, record in ((2, ["0:0", {"0100000000": [1, 2]}]), (3, ["0:0", count_rows, labels])):
+        header = search._checkpoint_member({"schema": schema, "params": params})
+        path.write_bytes(header + search._checkpoint_member(record))
+        assert _codesearch(tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "schema" in err and "4" in err and "Traceback" not in err
 
 
 def test_checkpoint_of_7_5_2_is_small_and_reproducible(tmp_path):
