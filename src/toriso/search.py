@@ -2,18 +2,24 @@
 monomially inequivalent codes sharing one folded weight distribution.
 
 The scan is exact end to end.  Codes are generated per reduced-echelon
-pivot pattern and all their codewords weighed in vectorized batches (a
+pivot pattern and their codewords weighed in vectorized batches (a
 word's coordinate c . g[:, j] depends only on the code's column j, so
-each coordinate adds one row of a q**k x q**k term table to all of a
+each coordinate adds one row of a q**k-row term table to all of a
 code's words).  A word's sig is the sum of c_w * (n + 1)**(w - 1) over
 the counts c_w <= n of its folded values w = 1..q//2, so it spells the
 word's folded composition in base n + 1, and a search needs
-(n + 1)**(q//2) < 2**63 so that the int64 terms cannot wrap.  A code's
-sorted row of q**k sigs is thus its weight distribution; read as one
-opaque byte string, it is an exact bucket key: two codes share one if
-and only if their weight distributions are equal.  A partition returns
-its sorted distinct keys and one label, an index into them, per code;
-packed code ids are computed from the id ranges at the merge.
+(n + 1)**(q//2) < 2**63 so that the int64 terms cannot wrap.  Since
+fold(-v) = fold(v), the words c . G and -c . G have one sig, and the
+zero word's sig is 0.  So the sorted sigs of all q**k words are a 0
+followed by the sigs of one word of each +-pair, each taken twice (over
+GF(2) every word is its own pair and taken once), and the scan weighs
+only the coefficient vectors c != 0 with index(c) <= index(-c): (q**k -
+1) / 2 of them for odd q, q**k - 1 for q = 2.  A code's sorted row of
+those sigs is thus its weight distribution; read as one opaque byte
+string, it is an exact bucket key: two codes share one if and only if
+their weight distributions are equal.  A partition returns its sorted
+distinct keys and one label, an index into them, per code; packed code
+ids are computed from the id ranges at the merge.
 Buckets are then partitioned into monomial equivalence classes by orbit
 subtraction: the full signed permutation orbit of one member is packed,
 in canonical form, and intersected with the bucket, which removes that
@@ -21,23 +27,31 @@ class exactly.  Buckets with at least min_tuple classes survive as
 collision tuples and are re-verified through the scalar code path and
 the lattice correspondence before being reported.
 
-An orbit costs n! row reductions, not n! * 2**n.  Let R = RREF(G P) for
-a column permutation P, with pivot column p(i) in row i, and let D be a
-diagonal matrix of signs s_j = +-1.  R D is still in echelon form with
-the same pivots; only the pivot entry s_p(i) of each row needs scaling
-back to 1, and s^-1 = s because (q - 1)**2 = 1 mod q.  So
-RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod q, and the orbit is
-exactly the one the 2**n-fold expansion gives.  No image is built: the
-packed id of a code is a sum over its rows, and row i of R packs under
-column signs t to the sum over j of R[i, j] * w or (q - R[i, j]) % q * w
-as t_j is +1 or -1, w being the base-q weight of entry (i, j).  Row i of
-the image under s takes the row signs t = s_p(i) * s, which is s itself
-or its complement -s, and because R[i, j] + (q - R[i, j]) % q is q on a
-nonzero entry and 0 on a zero one, the row packs under -s to q times the
-weights of its nonzero entries minus its value under s.  One pass over
-the n columns thus packs every row under the 2**(n-1) patterns with
-s_0 = +1 (s and -s give one image), and a masked subtraction and a sum
-over the k rows give every packed id.  Over GF(2) the only sign is 1.
+An orbit costs C(n, k) row reductions, not n! * 2**n.  Let R = RREF(G P)
+for a column permutation P, with pivot column p(i) in row i.  Its pivots
+pick the greedy basis S of G's columns in P's order, the basis whose
+sorted places under P are lexicographically least, and R = G[:, S]^-1 G P
+with the rows ordered by the places of their pivots.  So each of the
+C(n, k) column subsets S is reduced once, as [G[:, S] | G]: it is a basis
+exactly when its block reduces to I, and then the rest is G[:, S]^-1 G.
+The greedy basis of every P is then found column by column from the
+masks of the columns that lie inside some basis, and R is gathered from
+its reduced subset.  Let D be a diagonal matrix of signs s_j = +-1.  R D
+is still in echelon form with the same pivots; only the pivot entry
+s_p(i) of each row needs scaling back to 1, and s^-1 = s because
+(q - 1)**2 = 1 mod q.  So RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod
+q, and the orbit is exactly the one the 2**n-fold expansion gives.  No
+signed image is built: the packed id of a code is a sum over its rows,
+and row i of R packs under column signs t to the sum over j of
+R[i, j] * w or (q - R[i, j]) % q * w as t_j is +1 or -1, w being the
+base-q weight of entry (i, j).  Row i of the image under s takes the row
+signs t = s_p(i) * s, which is s itself or its complement -s, and because
+R[i, j] + (q - R[i, j]) % q is q on a nonzero entry and 0 on a zero one,
+the row packs under -s to q times the weights of its nonzero entries
+minus its value under s.  Every row is packed under the 2**(n-1) patterns
+with s_0 = +1 (s and -s give one image), each pattern from one with a
+single sign fewer, and a masked subtraction and a sum over the k rows
+give every packed id.  Over GF(2) the only sign is 1.
 
 Orbit subtraction runs in rounds across all buckets that hold at least
 min_tuple ids: each round takes the least id left in every bucket not
@@ -54,7 +68,7 @@ keys, class representatives, and reported tuples are all sorted, so a
 finished search is byte-for-byte reproducible.
 
 A checkpoint is a sequence of gzip members, one JSON line each: a header
-{"schema": 4, "params": ...} naming the search, then one [key, [hex
+{"schema": 5, "params": ...} naming the search, then one [key, [hex
 bucket keys], hex little-endian labels] record per finished partition,
 in partition order.  Each record is encoded and compressed once, when
 its partition finishes, and appended; every save writes the whole byte
@@ -62,8 +76,9 @@ string to a sibling temporary file and renames it over the checkpoint,
 so a crash leaves the previous checkpoint intact.  A resumed search
 reads the file once, skips the partitions it holds and appends the rest,
 so its final checkpoint is byte-identical to that of an uninterrupted
-run.  A key is q**k sigs of _sig_dtype; schema 3 keyed buckets by count
-rows, which can have the same width, so its files are refused.
+run.  A key is _half_words(q, k) sigs of _sig_dtype; schema 3 keyed
+buckets by count rows and schema 4 by the sigs of all q**k words, so
+their files are refused by the schema.
 
 Duality: (q, n, n - k) repeats (q, n, k), so only k <= n/2 needs a run.
 lift(C)* = (1/q) lift(C^perp) for the dual code under the product mod q:
@@ -93,7 +108,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, log2
+from math import comb, factorial, log2
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +128,7 @@ from .spectra import IsoCertificate, Verdict, certify
 MAX_TOTAL_CODES = 50_000_000
 MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition or orbit may allocate
 _ORBIT_BLOCK_BYTES = 1 << 22  # orbit estimates of the representatives stacked in one _orbit_rows call
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
 
 
 class TupleVerificationError(RuntimeError):
@@ -189,6 +204,22 @@ def _monomial_tables(q: int, n: int):
     return perms, neg
 
 
+@lru_cache(maxsize=8)
+def _subset_tables(n: int, k: int):
+    """The k-subsets of the n columns in combinations order as a (C(n, k), k)
+    array; the number of the subset each column bit mask is, -1 if it is
+    none; which subsets contain each mask, (2**n, C(n, k)); and the number
+    of columns of each mask below each column, (2**n, n)."""
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    masks = np.arange(1 << n)
+    subset_masks = (1 << subsets).sum(axis=1)
+    number = np.full(1 << n, -1, np.intp)
+    number[subset_masks] = np.arange(len(subsets))
+    contains = (masks[:, None] & ~subset_masks[None, :]) == 0
+    bits = masks[:, None] >> np.arange(n) & 1
+    return subsets, number, contains, np.cumsum(bits, axis=1) - bits
+
+
 def _batch_rref(mats: np.ndarray, q: int) -> np.ndarray:
     """Reduced row echelon form mod prime q of a stack of matrices."""
     work = np.mod(mats, q).astype(np.int16)
@@ -234,28 +265,83 @@ def _unpack(ids: np.ndarray, q: int, n: int, powers: np.ndarray) -> np.ndarray:
     return (ids[:, None] // powers % q).reshape(len(ids), -1, n)
 
 
+def _permuted_rrefs(reps: np.ndarray, q: int):
+    """RREF(G P) of each rank-k code G in reps (codes, k, n) under each
+    column permutation P of _monomial_tables, as (codes, n!, k, n), and
+    their pivot columns, (codes, n!, k).
+
+    Only the C(n, k) column subsets S of each code are row-reduced, each
+    as [G[:, S] | G]: S is a basis exactly when its block reduces to I,
+    and the rest is then R_S = G[:, S]^-1 G (module docstring)."""
+    b, k, n = reps.shape
+    perms, _ = _monomial_tables(q, n)
+    subsets, number, contains, below = _subset_tables(n, k)
+    work = np.concatenate([reps[:, :, subsets].transpose(0, 2, 1, 3), np.repeat(reps[:, None], len(subsets), axis=1)], axis=3)
+    reduced = _batch_rref(work.reshape(-1, k, k + n), q).reshape(b, len(subsets), k, k + n)
+    basis = (reduced[:, :, :, :k] == np.eye(k, dtype=np.int16)).all(axis=(2, 3))
+    independent = (contains[None] & basis[:, None, :]).any(axis=2)  # (codes, 2**n): inside some basis
+    # the greedy basis in each permutation's column order, as a column mask,
+    # and the places it takes its columns at
+    mask = np.zeros((b, len(perms)), np.intp)
+    taken = np.empty((b, len(perms), n), bool)
+    offset = np.arange(b)[:, None] << n
+    for place in range(n):
+        grown = mask | (1 << perms[:, place])
+        taken[:, :, place] = independent.ravel()[offset + grown]
+        np.copyto(mask, grown, where=taken[:, :, place])
+    pivots = (np.flatnonzero(taken) % n).reshape(b, len(perms), k)
+    # row i of RREF(G P) is the row of R_S whose 1 sits in the column of
+    # pivot i, column j gathered from column P(j)
+    columns = perms[np.arange(len(perms))[:, None], pivots]
+    first = (np.arange(b)[:, None] * len(subsets) + number[mask]) * k  # R_S's first row in the stack
+    rows = first[:, :, None] + below[mask[:, :, None], columns]
+    images = reduced[:, :, :, k:].reshape(-1, n)[rows[:, :, :, None], perms[None, :, None, :]]
+    return images, pivots
+
+
 def _orbit_rows(reps: np.ndarray, q: int, powers: np.ndarray) -> np.ndarray:
     """Packed canonical ids of all monomial images of each code in reps
     (codes, k, n), as one sorted row per code; a row may repeat an id.
 
-    Only the n! column permutations are row-reduced, and each reduced
-    row is packed in closed form under every sign pattern (module
-    docstring), so no image is ever built."""
+    Each reduced permutation is packed in closed form under every sign
+    pattern (module docstring), so no signed image is ever built."""
     b, k, n = reps.shape
-    perms, neg = _monomial_tables(q, n)
-    reduced = _batch_rref(reps.astype(np.int16)[:, :, perms].transpose(0, 2, 1, 3).reshape(-1, k, n), q)
-    neg = neg[:, : (neg.shape[1] + 1) // 2]  # the patterns with s_0 = +1
-    packed = np.zeros((len(reduced), k, neg.shape[1]), np.int64)  # row i under column signs t
-    total = np.zeros((len(reduced), k), np.int64)  # weights of row i's nonzero entries
-    for j in range(n):
-        col, w = reduced[:, :, j], powers[j::n]
-        packed += np.where(neg[j], ((q - col) % q * w)[:, :, None], (col * w)[:, :, None])
-        total += (col != 0) * w
-    pivots = np.argmax(reduced != 0, axis=2)  # column 0 on zero rows, which pack to 0 anyway
-    # rows under -s; q * total < 2**63 for odd q, and GF(2) has no -1
-    np.subtract(q * total[:, :, None], packed, out=packed, where=neg[pivots])
-    ids = packed.sum(axis=1)
-    return np.sort(ids.reshape(b, -1), axis=1)
+    _, neg = _monomial_tables(q, n)
+    images, pivots = _permuted_rrefs(reps, q)
+    reduced, pivots = images.reshape(-1, k, n), pivots.reshape(-1, k)
+    weights = powers.reshape(k, n)
+    # row i under the column signs t with t_0 = +1 (s and -s give one
+    # image), in product((1, -1)) order: pattern 2**m + x adds to pattern x
+    # the flip of column j = n - 1 - m, from R[i, j] * w to (q - R[i, j]) % q * w
+    packed = np.empty((len(reduced), k, (neg.shape[1] + 1) // 2), np.int64)
+    packed[:, :, 0] = np.einsum("rij,ij->ri", reduced, weights)
+    if q > 2:  # GF(2) has no -1
+        flips = np.where(reduced, q - 2 * reduced, 0) * weights
+        for m, j in enumerate(range(n - 1, 0, -1)):
+            np.add(packed[:, :, : 1 << m], flips[:, :, j, None], out=packed[:, :, 1 << m : 2 << m])
+        # rows under -s: twice the row under +1 plus every flip is q times
+        # the weights of its nonzero entries, below 2**63
+        np.subtract(2 * packed[:, :, :1] + flips.sum(axis=2, keepdims=True), packed, out=packed, where=neg[:, : packed.shape[2]][pivots])
+    ids = packed.sum(axis=1).reshape(b, -1)
+    ids.sort(axis=1)
+    return ids
+
+
+def _orbit_bytes(q, n, k, reps):
+    """Bytes _orbit_rows allocates at most for reps representatives and
+    its cached tables: per column permutation of each representative, its
+    int16 image, the int64 pivots, rows and columns of its basis and, for
+    odd q, the int64 flips of its entries and their temporaries; per image
+    with s_0 = +1, its k packed int64 rows and the k bools of their
+    complements, its id and its sorted copy; per column subset, [G[:, S] |
+    G] as int64 and int16 and the masks inside S; once, the n!
+    permutations, the subset tables and 256 KiB of numpy buffers and small
+    arrays."""
+    perms, subsets = factorial(n), comb(n, k)
+    images = perms * (1 if q == 2 else 2 ** (n - 1))
+    entry = 2 if q == 2 else 26
+    orbit = perms * (entry * k * n + 32 * k + 48) + images * (9 * k + 16) + subsets * (48 * k * (k + n) + (1 << n))
+    return reps * orbit + 8 * n * perms + (subsets + 10 * n) * (1 << n) + (1 << 18)
 
 
 def _label_dtype(keys: int) -> np.dtype:
@@ -266,21 +352,31 @@ def _sig_dtype(q: int, n: int) -> np.dtype:  # holds every word sig
     return np.min_scalar_type((n + 1) ** (q // 2) - 1)
 
 
+def _half_words(q: int, k: int) -> int:
+    """Words of a code's key: one nonzero word of each +-pair, every nonzero
+    word over GF(2)."""
+    return (q**k - 1) // (1 if q == 2 else 2)
+
+
 def _scan_partition(q, n, k, pivots, start, stop):
     """(keys, labels) of one id range of one pivot pattern: the sorted
-    distinct rows of sorted word sigs, as one void array, and each code's
-    index into keys, in code order, as _label_dtype(len(keys))."""
+    distinct rows of the sorted sigs of _half_words(q, k) words of each
+    code, as one void array, and each code's index into keys, in code
+    order, as _label_dtype(len(keys))."""
     # column[:, j]: code column j as a row of table, sum of g[i, j] * q**(k - 1 - i)
     column = np.zeros((stop - start, n), dtype=np.int64)
     column[:, list(pivots)] = q ** np.arange(k - 1, -1, -1)  # a pivot column holds a single 1
     for (i, j), digit in _digits(q, n, k, pivots, start, stop):
         column[:, j] += digit * q ** (k - 1 - i)
     # row a of table holds the sig terms of a code column coeffs[a] in the
-    # words of every coefficient vector (module docstring)
+    # words of one coefficient vector c of each +-pair: c != 0 with
+    # index(c) <= index(-c), index(c) being its place in coeffs (module docstring)
     coeffs = np.indices((q,) * k, dtype=np.int64).reshape(k, -1)  # in product(range(q), repeat=k) order
+    index = np.arange(q**k)
+    half = coeffs[:, (index > 0) & (index <= q ** np.arange(k - 1, -1, -1) @ (-coeffs % q))]
     fold = np.minimum(np.arange(q), q - np.arange(q))
     term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0).astype(_sig_dtype(q, n))
-    dots = coeffs.T @ coeffs
+    dots = coeffs.T @ half
     table = term[np.remainder(dots, q, out=dots)]
     sig = table[column[:, 0]]
     for j in range(1, n):
@@ -293,10 +389,12 @@ def _scan_partition(q, n, k, pivots, start, stop):
 
 def _scan_bytes(q, n, k, rows):
     """Bytes _scan_partition allocates at most for rows codes: per code, n
-    int64 column indices, 4 rows of q**k sigs, np.unique's 3 int64 and 1 bool
-    indices; int64 coefficients, q**k x q**k products, term table; 64 KiB."""
-    size = _sig_dtype(q, n).itemsize
-    return rows * (8 * n + 4 * q**k * size + 25) + q ** (2 * k) * (8 + size) + 8 * k * q**k + (1 << 16)
+    int64 column indices, 4 rows of _half_words(q, k) sigs, np.unique's 3
+    int64 and 1 bool indices; per coefficient vector, a table row of int64
+    products and sigs, its k int64 coefficients and their negatives, and
+    its int64 index; 64 KiB."""
+    size, half = _sig_dtype(q, n).itemsize, _half_words(q, k)
+    return rows * (8 * n + 4 * half * size + 25) + q**k * (half * (8 + size) + 16 * k + 8) + (1 << 16)
 
 
 def _partition_ids(q, n, k, pivots, start, stop, powers):
@@ -509,13 +607,9 @@ def run_search(
     scan = _scan_bytes(q, n, k, min(chunk_size, max(totals)))
     if scan > MAX_PARTITION_BYTES:
         raise CodeError(f"one scan partition needs a {scan}-byte table, above the {MAX_PARTITION_BYTES} guard")
-    # one orbit is estimated at 12 bytes an entry and 32 an image, which
-    # bounds what _orbit_rows holds: about 8 bytes an entry of each of the
-    # n! reductions (int16 copies) and at most 8 * k + 16 an image (packed
-    # rows, their sums, sorting).  The estimate also sizes the blocks of
-    # representatives, and a search it refuses is never scanned
-    images = factorial(n) * (1 if q == 2 else 2**n)
-    orbit = images * (12 * k * n + 32)
+    # the orbit estimate also sizes the blocks of representatives, and a
+    # search it refuses is never scanned
+    orbit = _orbit_bytes(q, n, k, 1)
     if orbit > MAX_PARTITION_BYTES:
         raise CodeError(f"one monomial orbit needs about {orbit} bytes, above the {MAX_PARTITION_BYTES} guard")
     params = {"q": q, "n": n, "k": k, "family": family, "chunk": chunk_size}
@@ -529,7 +623,7 @@ def run_search(
     done, state = {}, b""
     if checkpoint_path:
         sizes = {key: args[5] - args[4] for key, args in partitions}
-        done, state = _checkpoint_load(checkpoint_path, params, sizes, q**k * _sig_dtype(q, n).itemsize)
+        done, state = _checkpoint_load(checkpoint_path, params, sizes, _half_words(q, k) * _sig_dtype(q, n).itemsize)
     pending = [(key, args) for key, args in partitions if key not in done]
 
     arg_list = [a for _, a in pending]
@@ -565,7 +659,8 @@ def run_search(
     buckets = dict(enumerate(np.split(ids, np.cumsum(np.bincount(labels, minlength=len(keys)))[:-1])))
 
     collisions = []
-    block = max(1, _ORBIT_BLOCK_BYTES // orbit)
+    fixed = _orbit_bytes(q, n, k, 0)
+    block = max(1, (_ORBIT_BLOCK_BYTES - fixed) // (orbit - fixed))
     for kb, classes in _monomial_classes(buckets, q, n, powers, min_tuple, block).items():
         gens = _unpack(np.array([cid for cid, _ in classes]), q, n, powers).tolist()
         codes = tuple(LinearCode(q, n, tuple(map(tuple, g))) for g in gens)

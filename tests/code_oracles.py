@@ -23,6 +23,15 @@ def monomial_images(code):
             yield LinearCode(q, n, rows)
 
 
+def permuted_reductions(rows, q):
+    """RREF(G P) of a rank-k generator matrix G (k lists of n residues mod
+    a prime q) under every column permutation P, in itertools.permutations
+    order: n! reductions from scratch, each LinearCode's canonical rows of
+    the permuted columns, image column j being column P(j) of G."""
+    n = len(rows[0])
+    return [LinearCode(q, n, tuple(tuple(r[p] for p in perm) for r in rows)).rows for perm in itertools.permutations(range(n))]
+
+
 def expanded_canonical_form(code):
     """The least canonical rows over the whole 2**n * n! expansion: one
     reduction per signed permutation image."""

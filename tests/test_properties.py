@@ -12,7 +12,8 @@ checkpoints that do not depend on --jobs or on a resume.
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
 to keep each enumeration to milliseconds.  Codes have length at most 4,
-so a scalar orbit holds at most 4! * 2**4 images.
+so a scalar orbit holds at most 4! * 2**4 images, and generator matrices
+checked against the n! permuted reductions length at most 5.
 """
 
 import tempfile
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from code_oracles import expanded_canonical_form, monomial_images
+from code_oracles import expanded_canonical_form, monomial_images, permuted_reductions
 from isometry_oracles import ball_shells
 from linalg_oracles import (
     box_oracle,
@@ -54,7 +55,7 @@ from toriso.linalg import (
     hnf,
     lattices_equal,
 )
-from toriso.search import _orbit_rows, _pack, _pack_powers, run_search
+from toriso.search import _orbit_rows, _pack, _pack_powers, _permuted_rrefs, run_search
 from toriso.spectra import Verdict, certify
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -167,6 +168,44 @@ def test_stacked_orbit_rows_are_the_scalar_orbits(data):
         want = {int(_pack(np.array([img.rows]), powers)[0]) for img in monomial_images(LinearCode(q, n, rep))}
         assert np.unique(row).tolist() == sorted(want)
         assert np.all(row[:-1] <= row[1:])
+
+
+@st.composite
+def rank_k_generators(draw, q, n, k):
+    """A k x n generator matrix of rank k over GF(q), M [I | A] P: M = L U
+    invertible, each column of A zero, parallel to an earlier column or
+    random, and P a column permutation."""
+    entry = st.integers(0, q - 1)
+    cols = [[int(i == j) for i in range(k)] for j in range(k)]
+    for _ in range(n - k):
+        kind = draw(st.sampled_from(("zero", "parallel", "random")))
+        if kind == "zero":
+            cols.append([0] * k)
+        elif kind == "parallel":
+            scale = draw(st.integers(1, q - 1))
+            cols.append([scale * x % q for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append(draw(st.lists(entry, min_size=k, max_size=k)))
+    lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(k)] for i in range(k)]
+    upper = [[draw(st.integers(1, q - 1)) if i == j else draw(entry) if j > i else 0 for j in range(k)] for i in range(k)]
+    perm = draw(st.permutations(range(n)))
+    return np.array(lower) @ np.array(upper) @ np.array(cols).T[:, perm] % q
+
+
+@SETTINGS
+@given(st.data())
+def test_per_basis_reductions_are_the_permuted_reductions(data):
+    # k = 1 and k = n are drawn too; a stack of codes shares one call
+    q = data.draw(st.sampled_from((2, 3, 5, 7)))
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, n))
+    gens = data.draw(st.lists(rank_k_generators(q, n, k), min_size=1, max_size=3))
+    images, pivots = _permuted_rrefs(np.array(gens), q)
+    assert images.shape == (len(gens), factorial(n), k, n) and pivots.shape == (len(gens), factorial(n), k)
+    for g, got, places in zip(gens, images.tolist(), pivots.tolist()):
+        want = permuted_reductions(g.tolist(), q)
+        assert [tuple(map(tuple, image)) for image in got] == want
+        assert places == [[row.index(next(x for x in row if x)) for row in rows] for rows in want]
 
 
 @SETTINGS

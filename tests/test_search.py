@@ -2,7 +2,6 @@ import gzip
 import json
 import tracemalloc
 from concurrent.futures import Future
-from math import factorial
 
 import numpy as np
 import pytest
@@ -124,20 +123,18 @@ def test_orbit_rounds_match_per_bucket_oracle():
 def test_orbit_blocks_change_no_output(tmp_path, monkeypatch, capsys):
     # (2, 6, 3, all): 21 buckets; the collision's bucket of 35 codes is
     # split over two rounds.  One representative per call, four per call,
-    # and the default block (every open bucket in one call) agree byte for byte
+    # every open bucket in one call and the default block agree byte for byte
     def codesearch(name):
         out = tmp_path / name
         assert main(["codesearch", "--q", "2", "--n", "6", "--k", "3", "--out", str(out)]) == 0
         files = {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
         return capsys.readouterr().out, files
 
-    orbit = factorial(6) * (12 * 3 * 6 + 32)
-    assert search._ORBIT_BLOCK_BYTES // orbit > 21
     want = codesearch("default")
     assert "collisions: 1" in want[0] and len(want[1]) > 2
-    for size in (1, 4 * orbit):
-        monkeypatch.setattr(search, "_ORBIT_BLOCK_BYTES", size)
-        assert codesearch(f"block-{size}") == want
+    for block in (1, 4, 21):
+        monkeypatch.setattr(search, "_ORBIT_BLOCK_BYTES", search._orbit_bytes(2, 6, 3, block))
+        assert codesearch(f"block-{block}") == want
 
 
 def test_representative_outside_its_orbit_raises(monkeypatch):
@@ -231,12 +228,16 @@ def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, li
             assert labels.dtype == search._label_dtype(len(keys)) and len(labels) == len(ids)
             got = sorted(ids[labels == u].tolist() for u in range(len(keys)))
             assert got == sorted(group.tolist() for group in group_rows(full, ids).values())
-            # keys are distinct, increasing, q**k sigs wide, and each is its
-            # codes' oracle row spelled out as sorted sigs
-            assert keys.dtype.itemsize == q**k * sig_dtype.itemsize
+            # keys are distinct, increasing and one word of each +-pair wide
+            # (every nonzero word over GF(2)); each, with the zero word's 0
+            # prepended and every sig doubled for odd q, spells its codes'
+            # oracle row as sorted sigs
+            half = (q**k - 1) // (1 if q == 2 else 2)
+            assert keys.dtype.itemsize == half * sig_dtype.itemsize
             spelled = [kb.tobytes() for kb in keys]
             assert all(a < b for a, b in zip(spelled, spelled[1:]))
-            assert [spelled[u] for u in labels] == [np.repeat(np.arange(bins), row).astype(sig_dtype).tobytes() for row in full]
+            rows = [np.concatenate([[0], np.repeat(np.frombuffer(kb, sig_dtype), 1 if q == 2 else 2)]) for kb in spelled]
+            assert [rows[u].astype(sig_dtype).tobytes() for u in labels] == [np.repeat(np.arange(bins), row).astype(sig_dtype).tobytes() for row in full]
             seen += ids.tolist()
     if family == "all":
         want_ids = [int(_pack(np.array([c.rows]), powers)[0]) for c in all_codes(q, n, k)]
@@ -274,6 +275,27 @@ def test_scan_partition_peaks_within_the_guard_estimate(q, n, k, family):
     finally:
         tracemalloc.stop()
     assert peak <= search._scan_bytes(q, n, k, rows) <= search.MAX_PARTITION_BYTES
+
+
+@pytest.mark.parametrize("q, n, k", [(7, 5, 2), (5, 6, 3), (2, 8, 4)])
+def test_orbit_block_peaks_within_the_guard_estimate(q, n, k):
+    # one block of systematic representatives, as many as run_search stacks
+    # in one _orbit_rows call (33, 2 and 1), with the cached tables rebuilt
+    fixed, orbit = search._orbit_bytes(q, n, k, 0), search._orbit_bytes(q, n, k, 1)
+    block = max(1, (search._ORBIT_BLOCK_BYTES - fixed) // (orbit - fixed))
+    free = np.random.default_rng(q).integers(0, q, size=(block, k, n - k))
+    reps = np.concatenate([np.broadcast_to(np.eye(k, dtype=np.int64), (block, k, k)), free], axis=2)
+    powers = _pack_powers(q, k, n)
+    _orbit_rows(reps, q, powers)  # numpy's first-call caches
+    search._monomial_tables.cache_clear()
+    search._subset_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        _orbit_rows(reps, q, powers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= search._orbit_bytes(q, n, k, block) <= search.MAX_PARTITION_BYTES
 
 
 @pytest.mark.parametrize(
@@ -420,7 +442,7 @@ def _record(change):
     [
         # a single-object checkpoint of the format without a schema
         (lambda lines: [json.dumps({"params": json.loads(lines[0])["params"], "partitions": {}})], "schema"),
-        (lambda lines: [lines[0].replace('"schema": 4', '"schema": 5')] + lines[1:], "schema"),
+        (lambda lines: [lines[0].replace('"schema": 5', '"schema": 6')] + lines[1:], "schema"),
         # both are caught before the record's keys and labels are decoded
         (lambda lines: lines + [json.dumps(["0:99", ["not hex"], "not hex"])], "does not have"),
         (lambda lines: lines + [json.dumps([json.loads(lines[-1])[0], ["not hex"], "not hex"])], "twice"),
@@ -468,21 +490,26 @@ def test_checkpoint_schema_and_records_are_checked(tmp_path, capsys, edit, probl
 
 
 def test_schema_2_checkpoint_is_refused(tmp_path, capsys):
-    # checkpoints of the two previous formats: schema 2 held bucket keys
-    # over all bins, each with its packed code ids, and schema 3 count rows
-    # over the reachable bins and one label per code, a record of which is
-    # the first partition of (3, 4, 2, all) below
+    # checkpoints of the three previous formats: schema 2 held bucket keys
+    # over all bins, each with its packed code ids, schema 3 count rows over
+    # the reachable bins and one label per code, and schema 4 keys of all
+    # q**k sorted sigs and one label per code; each record below is the
+    # first partition of (3, 4, 2, all)
     path = tmp_path / "scan.json.gz"
     params = {"q": 3, "n": 4, "k": 2, "family": "all", "chunk": 5**6}
     count_rows = ["0100000800", "0100020402", "0100040004", "0100060200", "0102000204", "0102020400", "0104040000"]
     labels = "0605050504040504040503030201010201010503030201010201010502020301010301010401010101000100010401010100010101"
     labels += "00050202030101030101040101010001010100040101010100010001"
-    for schema, record in ((2, ["0:0", {"0100000000": [1, 2]}]), (3, ["0:0", count_rows, labels])):
+    sig_rows = ["000101010102020202", "000101020203030303", "000101030304040404", "000202020202020303"]
+    sig_rows += ["000202020204040404", "000202030303030404", "000303030303030303"]
+    sig_labels = "000101010202010202010303040505040505010303040505040505010404030505030505020505050506050605"
+    sig_labels += "020505050605050506010404030505030505020505050605050506020505050506050605"
+    for schema, record in ((2, ["0:0", {"0100000000": [1, 2]}]), (3, ["0:0", count_rows, labels]), (4, ["0:0", sig_rows, sig_labels])):
         header = search._checkpoint_member({"schema": schema, "params": params})
         path.write_bytes(header + search._checkpoint_member(record))
         assert _codesearch(tmp_path, path) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "schema" in err and "4" in err and "Traceback" not in err
+        assert err.startswith("error:") and "schema" in err and "5" in err and "Traceback" not in err
 
 
 def test_checkpoint_of_7_5_2_is_small_and_reproducible(tmp_path):
