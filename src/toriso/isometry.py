@@ -107,12 +107,12 @@ def integral_equivalence(
     shells = _shells(q1, diag)
     buckets = [shells.get(diag[j], []) for j in range(n)]
     # q1 * v is computed when v is first assigned and cached for every
-    # column with that diagonal target, in plain integers when q1 is integral
-    rows = [tuple(_normalize(Fraction(q1.matrix.at(i, j))) for j in range(n)) for i in range(n)]
+    # column with that diagonal target, in plain integers when q1 is integral,
+    # and pruned against q2's entries read the same way
+    rows, target = ([tuple(_normalize(Fraction(q.matrix.at(i, j))) for j in range(n)) for i in range(n)] for q in (q1, q2))
     products: dict[tuple, tuple] = {}
 
     order = sorted(range(n), key=lambda j: (len(buckets[j]), j))
-    target = q2.matrix
     nodes = 0
     assigned: list[tuple[int, tuple, tuple, int]] = []  # (column, vec, q1*vec, sign)
 
@@ -128,7 +128,7 @@ def integral_equivalence(
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     raise SearchBudgetExceeded(f"node budget {node_budget} exhausted", stats_now(("budget exhausted",)))
-                if any(sign * s_u * sum(map(mul, v, qu)) != target.at(j, i) for i, _, qu, s_u in assigned):
+                if any(sign * s_u * sum(map(mul, v, qu)) != target[j][i] for i, _, qu, s_u in assigned):
                     continue
                 if v not in products:
                     products[v] = tuple(sum(map(mul, row, v)) for row in rows)

@@ -1,11 +1,12 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from linalg_oracles import box_oracle, fraction_ladder, fraction_shortest_vectors
-from toriso import linalg
+from toriso import enumeration, linalg
 from toriso.decomposition import decompose
 from toriso.enumeration import (
     RepSpectrum,
@@ -16,7 +17,7 @@ from toriso.enumeration import (
     shortest_vectors,
 )
 from toriso.isometry import integral_equivalence
-from toriso.lattices import GramForm, Lattice
+from toriso.lattices import GramForm, Lattice, choir_family, double_form, gram
 from toriso.linalg import DimensionError, Mat, det
 from toriso.spectra import certify
 from toriso import triplet
@@ -157,6 +158,68 @@ def test_rep_spectrum_rational_grid():
         Fraction(5, 2): 0,
         3: 0,
     }
+
+
+def _choir_pair_shells():
+    members = choir_family((triplet.lattice(1), triplet.lattice(2), triplet.lattice(3)), copies=2)
+    q1, q2 = gram(members[0]), gram(members[1])
+    return enumeration._shells(q1, [q2.matrix.at(j, j) for j in range(q2.dimension)])
+
+
+@pytest.mark.parametrize(
+    "walk, tried",
+    [
+        (lambda: enumerate_up_to(triplet.gram_form(1), 12), 40),
+        (lambda: rep_spectrum(double_form(triplet.gram_form(1)), 92), 2026),
+        (_choir_pair_shells, 164309),
+    ],
+    ids=["enumerate", "rep_spectrum", "choir-shells"],
+)
+def test_walk_budget_counts_the_same_points(monkeypatch, walk, tried):
+    # tried is the smallest budget each walk passes: the points it tries at
+    # x_0, each level-1 point counting one in the shell walk
+    monkeypatch.setattr(enumeration, "_WALK_BUDGET", tried)
+    walk()
+    monkeypatch.setattr(enumeration, "_WALK_BUDGET", tried - 1)
+    with pytest.raises(ValueError, match="enumeration budget exceeded"):
+        walk()
+
+
+@pytest.mark.parametrize("matrix", [Mat.from_rows([[1, 0], [0, 10**14]]), Mat.identity(1)], ids=["diag", "1x1"])
+def test_one_run_past_the_budget_is_never_walked(matrix):
+    # the one x_0 run of either ball holds about 3.2 million points
+    emitted = []
+    with pytest.raises(ValueError, match="enumeration budget exceeded"):
+        enumeration._walk(GramForm(matrix), Fraction(10**13), lambda scaled, coords: emitted.append(scaled))
+    assert emitted == []
+
+
+@pytest.mark.parametrize("walk", [enumerate_up_to, rep_spectrum])
+def test_walk_checks_each_norm_against_the_elimination_product(walk):
+    q = GramForm(triplet.gram_matrix(1))  # a fresh form, not the shared cached one
+    h, (urows, minors, s) = q._reduction
+    urows = [list(row) for row in urows]
+    urows[0][1] += 1
+    q.__dict__["_reduction"] = h, (urows, minors, s)  # where cached_property keeps it
+    with pytest.raises(ArithmeticError, match="scaled norm is not a multiple"):
+        walk(q, 12)
+
+
+def test_rep_spectrum_counts_on_the_value_grid():
+    # 10**4 grid values up to 10**10: a count per integer up to the bound
+    # would be 10**10 slots.  The 10,001 returned entries alone hold about
+    # 0.96 MB, so the bound is on what the call holds beyond them.
+    q = GramForm(Mat.identity(2).scaled(10**6))
+    tracemalloc.start()
+    try:
+        spec = rep_spectrum(q, 10**10)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    unit = rep_spectrum(GramForm(Mat.identity(2)), 10**4)
+    assert spec.entries == tuple((10**6 * t, c) for t, c in unit.entries)
+    assert (spec.step, spec.bound) == (10**6, 10**10)
+    assert peak - kept < 10**6
 
 
 def test_shortest_vectors_square_lattice():
