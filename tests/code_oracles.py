@@ -1,4 +1,5 @@
-"""Scalar test oracles for code enumeration and collision grouping.
+"""Scalar test oracles for code enumeration, collision grouping and the
+scan's keying of sig rows.
 
 They share only LinearCode's canonical rows and weight_distribution with
 the library, and none of the scan's pivot-pattern enumeration, codeword
@@ -116,3 +117,12 @@ def group_rows(rows, ids):
     uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     return {row.tobytes(): np.sort(ids[inverse == u]) for u, row in enumerate(uniq)}
+
+
+def void_row_keys(sig):
+    """Keys and labels of sig rows by sorting each row (a stable, radix,
+    sort for 1-byte sigs) and running np.unique over the rows read as void,
+    which compares them bytewise.  Returns the sorted distinct rows as one
+    void array and each row's index into them."""
+    sig = np.sort(sig, axis=1, kind="stable" if sig.itemsize == 1 else None)
+    return np.unique(sig.view(np.dtype((np.void, sig.shape[1] * sig.itemsize))).ravel(), return_inverse=True)

@@ -5,9 +5,9 @@ convolution loop, certify under
 unimodular maps, the monomial orbit of a code, the eigenvalue bound, LLL
 and the Mat products and inverse against their oracles, the Hermite
 normal form as a canonical lattice basis, lattice decompositions,
-minimal vectors and ladders that do not depend on the basis, and
-code-search reports and
-checkpoints that do not depend on --jobs or on a resume.
+minimal vectors and ladders that do not depend on the basis, the scan's
+keying of sig rows against np.unique over void rows, and code-search
+reports and checkpoints that do not depend on --jobs or on a resume.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from code_oracles import expanded_canonical_form, monomial_images, permuted_reductions
+from code_oracles import expanded_canonical_form, monomial_images, permuted_reductions, void_row_keys
 from isometry_oracles import ball_shells
 from linalg_oracles import (
     box_oracle,
@@ -55,7 +55,7 @@ from toriso.linalg import (
     hnf,
     lattices_equal,
 )
-from toriso.search import _orbit_rows, _pack, _pack_powers, _permuted_rrefs, run_search
+from toriso.search import _key_rows, _label_dtype, _orbit_rows, _pack, _pack_powers, _padded_sigs, _permuted_rrefs, run_search
 from toriso.spectra import Verdict, certify
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -206,6 +206,51 @@ def test_per_basis_reductions_are_the_permuted_reductions(data):
         want = permuted_reductions(g.tolist(), q)
         assert [tuple(map(tuple, image)) for image in got] == want
         assert places == [[row.index(next(x for x in row if x)) for row in rows] for rows in want]
+
+
+@st.composite
+def sig_rows(draw):
+    """Rows of sigs of one dtype, columns shuffled within each row, in one
+    of five shapes: random rows over a few values, so that rows repeat; one
+    row repeated; pairwise distinct rows; rows that differ only in their
+    last byte, the high byte of their greatest sig; and rows that differ
+    only in the high byte of one sig between 0s and all-ones sigs."""
+    dtype = np.dtype(draw(st.sampled_from(("<u1", "<u2", "<u4", "<u8"))))
+    rows, width = draw(st.integers(1, 60)), draw(st.integers(1, 20))
+    shape = draw(st.sampled_from(("random", "equal", "distinct", "last byte", "high byte")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top, shift = np.iinfo(dtype).max, 8 * (dtype.itemsize - 1)
+    if shape == "distinct":
+        sig = rng.permutation(np.unique(np.sort(rng.integers(0, top, (rows, width), dtype, endpoint=True), axis=1), axis=0))
+    elif shape in ("random", "equal"):
+        pool = np.array(draw(st.lists(st.integers(0, int(top)), min_size=1, max_size=4)), dtype)
+        sig = pool[rng.integers(0, len(pool), (rows if shape == "random" else 1, width))]
+        sig = np.repeat(sig, rows // len(sig), axis=0)
+    else:
+        place = width - 1 if shape == "last byte" else draw(st.integers(0, width - 1))
+        low = rng.integers(0, 1 << shift, dtype=dtype, endpoint=False) if shift else dtype.type(0)
+        sig = np.full((rows, width), top, dtype)
+        sig[:, :place] = 0 if shape == "high byte" else low
+        sig[:, place] = low | rng.integers(0, 256, rows).astype(dtype) << shift
+    return rng.permuted(sig, axis=1)
+
+
+@SETTINGS
+@given(sig_rows())
+@example(np.arange(1, dtype=np.uint64).reshape(1, 1))
+@example(np.arange(256, dtype=np.uint8).reshape(256, 1))  # 256 keys: uint8 labels
+@example(np.arange(257, dtype=np.uint16).reshape(257, 1))
+@example(np.array([[1, 0], [0, 1], [256, 0], [0, 256]], np.uint16))  # bytewise, not numeric, order
+def test_key_rows_are_the_void_row_oracle(sig):
+    # each row padded with 0 sigs to whole 8-byte words, as the scan pads it
+    rows, width = sig.shape
+    padded = np.zeros((rows, _padded_sigs(width, sig.itemsize)), sig.dtype)
+    padded[:, :width] = sig
+    assert padded.shape[1] * sig.itemsize % 8 == 0
+    keys, labels = _key_rows(padded, width)
+    want_keys, want_labels = void_row_keys(sig)
+    assert keys.dtype == want_keys.dtype and keys.tobytes() == want_keys.tobytes()
+    assert labels.dtype == _label_dtype(len(want_keys)) and labels.tolist() == want_labels.tolist()
 
 
 @SETTINGS
