@@ -19,15 +19,11 @@ those sigs is thus its weight distribution; read as one opaque byte
 string, it is an exact bucket key: two codes share one if and only if
 their weight distributions are equal.  A partition returns its sorted
 distinct keys and one label, an index into them, per code; packed code
-ids are computed from the id ranges at the merge.  Each code's sigs are
-sorted with numpy's default sort, those under 4 bytes as uint32 in
-blocks of rows, since numpy has SIMD sorts of 32-bit keys with AVX2 or
-AVX-512 but of 8- and 16-bit keys only with AVX-512.  The rows are then
-grouped as words: each row is zero-padded to a whole number of 8-byte
-words and read as big-endian uint64s.  On byte strings of one length,
-bytewise (memcmp) order is the lexicographic order of their big-endian
-words, and a padding the same on every row keeps it, so np.lexsort over
-the words sorts the rows into the bytewise order of their keys.
+ids are computed from the id ranges at the merge.  A code's 1-byte sigs
+are sorted as uint32, in blocks of rows, since numpy's SIMD sorts take
+32-bit keys with AVX2 or AVX-512 but 8-bit keys with neither; wider sigs
+are sorted as they are.  np.unique over the sorted rows read as void
+then gives the distinct keys in bytewise order.
 Buckets are then partitioned into monomial equivalence classes by orbit
 subtraction: the full signed permutation orbit of one member is packed,
 in canonical form, and intersected with the bucket, which removes that
@@ -137,7 +133,7 @@ MAX_TOTAL_CODES = 50_000_000
 MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition or orbit may allocate
 _ORBIT_BLOCK_BYTES = 1 << 22  # orbit estimates of the representatives stacked in one _orbit_rows call
 CHECKPOINT_SCHEMA = 5
-_SORT_BLOCK = 1024  # rows of sigs under 4 bytes sorted at a time as uint32
+_SORT_BLOCK = 1024  # rows of 1-byte sigs sorted at a time as uint32
 
 
 class TupleVerificationError(RuntimeError):
@@ -367,10 +363,15 @@ def _half_words(q: int, k: int) -> int:
     return (q**k - 1) // (1 if q == 2 else 2)
 
 
-def _padded_sigs(width: int, size: int) -> int:
-    """Sigs of a row of width size-byte sigs zero-padded to whole 8-byte
-    words."""
-    return -(-width * size // 8) * 8 // size
+def _columns(q, n, k, pivots, start, stop):
+    """column[:, j] of the codes start..stop-1 of one pivot pattern: code
+    column j as a row of _scan_partition's term table, sum of g[i, j] *
+    q**(k - 1 - i).  Its digits die with the call, not with the scan."""
+    column = np.zeros((stop - start, n), dtype=np.int64)
+    column[:, list(pivots)] = q ** np.arange(k - 1, -1, -1)  # a pivot column holds a single 1
+    for (i, j), digit in _digits(q, n, k, pivots, start, stop):
+        column[:, j] += digit * q ** (k - 1 - i)
+    return column
 
 
 def _scan_partition(q, n, k, pivots, start, stop):
@@ -378,20 +379,13 @@ def _scan_partition(q, n, k, pivots, start, stop):
     distinct rows of the sorted sigs of _half_words(q, k) words of each
     code, as one void array, and each code's index into keys, in code
     order, as _label_dtype(len(keys))."""
-    # column[:, j]: code column j as a row of table, sum of g[i, j] * q**(k - 1 - i)
-    column = np.zeros((stop - start, n), dtype=np.int64)
-    column[:, list(pivots)] = q ** np.arange(k - 1, -1, -1)  # a pivot column holds a single 1
-    for (i, j), digit in _digits(q, n, k, pivots, start, stop):
-        column[:, j] += digit * q ** (k - 1 - i)
+    column = _columns(q, n, k, pivots, start, stop)
     # row a of table holds the sig terms of a code column coeffs[a] in the
     # words of one coefficient vector c of each +-pair: c != 0 with
-    # index(c) <= index(-c), index(c) being its place in coeffs (module
-    # docstring), then in those of c = 0, whose sig 0 pads the row
+    # index(c) <= index(-c), index(c) being its place in coeffs (module docstring)
     coeffs = np.indices((q,) * k, dtype=np.int64).reshape(k, -1)  # in product(range(q), repeat=k) order
     index = np.arange(q**k)
-    chosen = np.flatnonzero((index > 0) & (index <= q ** np.arange(k - 1, -1, -1) @ (-coeffs % q)))
-    padded = _padded_sigs(len(chosen), _sig_dtype(q, n).itemsize)
-    half = coeffs[:, np.pad(chosen, (0, padded - len(chosen)))]  # coeffs[:, 0] is c = 0
+    half = coeffs[:, (index > 0) & (index <= q ** np.arange(k - 1, -1, -1) @ (-coeffs % q))]
     fold = np.minimum(np.arange(q), q - np.arange(q))
     term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0).astype(_sig_dtype(q, n))
     dots = coeffs.T @ half
@@ -399,60 +393,37 @@ def _scan_partition(q, n, k, pivots, start, stop):
     sig = table[column[:, 0]]
     for j in range(1, n):
         sig += table[column[:, j]]
-    return _key_rows(sig, len(chosen))
+    return _key_rows(sig)
 
 
-def _key_rows(sig, width):
-    """(keys, labels) of sig rows whose first width sigs are a code's and
-    whose rest are 0, each row a whole number of 8-byte words: the sorted
-    distinct rows of the codes' sorted sigs, as one void array of width
-    sigs, and each row's index into keys, as _label_dtype(len(keys)).  The
-    codes' sigs are sorted in place.  np.lexsort over the rows'
-    big-endian words gives the keys in bytewise order (module docstring),
-    the order np.unique gives rows read as void."""
-    rows, unpadded = len(sig), sig[:, :width]
-    if sig.itemsize >= 4:
-        unpadded.sort(axis=1)
-    else:
+def _key_rows(sig):
+    """(keys, labels) of rows of code sigs: the sorted distinct rows of the
+    codes' sorted sigs, as one void array, and each row's index into keys,
+    as _label_dtype(len(keys)).  The rows are sorted in place."""
+    if sig.itemsize == 1:
         # as uint32 for numpy's SIMD sorts (module docstring)
-        block = np.empty((min(rows, _SORT_BLOCK), width), np.uint32)
-        for lo in range(0, rows, len(block)):
-            part = block[: rows - lo]
-            part[...] = unpadded[lo : lo + len(part)]
+        block = np.empty((min(len(sig), _SORT_BLOCK), sig.shape[1]), np.uint32)
+        for lo in range(0, len(sig), len(block)):
+            part = block[: len(sig) - lo]
+            part[...] = sig[lo : lo + len(part)]
             part.sort(axis=1)
-            unpadded[lo : lo + len(part)] = part
-    order = np.lexsort(sig.view(">u8").T[::-1])
-    words = sig.view(np.uint64)[order]  # equality needs no byte swap
-    first = np.empty(rows, bool)
-    first[0] = True
-    np.any(words[1:] != words[:-1], axis=1, out=first[1:])
-    labels = np.empty(rows, _label_dtype(np.count_nonzero(first)))
-    labels[order[0]] = 0
-    labels[order[1:]] = np.cumsum(first[1:], dtype=labels.dtype)
-    nbytes = width * sig.itemsize
-    keys = np.ascontiguousarray(words[first].view(np.uint8)[:, :nbytes]).view(np.dtype((np.void, nbytes))).ravel()
-    return keys, labels
+            sig[lo : lo + len(part)] = part
+    else:
+        sig.sort(axis=1)
+    keys, labels = np.unique(sig.view(np.dtype((np.void, sig.shape[1] * sig.itemsize))).ravel(), return_inverse=True)
+    return keys, labels.astype(_label_dtype(len(keys)))
 
 
 def _scan_bytes(q, n, k, rows):
-    """Bytes _scan_partition allocates at most for rows codes, each code's
-    key row counted at its width padded to whole 8-byte words.
-
-    Per code: n int64 column indices, plus 4 padded rows and 25 bytes.
-    Those bound what the scan holds beside the indices, 2.125 rows and 33
-    bytes at most, as a padded row has 8 bytes or more: the sums of the
-    sigs and one gathered table row while they are built; then the sums,
-    the rows in key order, their word compares (an eighth of a row),
-    lexsort's int64 order and two int64 buffers, the first-of-key flags and
-    8 label bytes.  Per coefficient vector: a table row of int64 products
-    and sigs, its k int64 coefficients twice, and its int64 index.  Once:
-    lexsort's 128 bytes per word of a key, the uint32 sort block of sigs
-    under 4 bytes, and 64 KiB."""
+    """Bytes _scan_partition allocates at most for rows codes: per code, n
+    int64 column indices, 4 rows of _half_words(q, k) sigs, np.unique's 3
+    int64 and 1 bool indices; per coefficient vector, a table row of int64
+    products and sigs, its k int64 coefficients and their negatives, and
+    its int64 index; once, the uint32 sort block of 1-byte sigs and 64
+    KiB."""
     size, half = _sig_dtype(q, n).itemsize, _half_words(q, k)
-    padded = _padded_sigs(half, size)
-    block = 4 * half * min(rows, _SORT_BLOCK) if size < 4 else 0
-    fixed = 16 * padded * size + block + (1 << 16)
-    return rows * (8 * n + 4 * padded * size + 25) + q**k * (padded * (8 + size) + 16 * k + 8) + fixed
+    block = 4 * half * min(rows, _SORT_BLOCK) if size == 1 else 0
+    return rows * (8 * n + 4 * half * size + 25) + q**k * (half * (8 + size) + 16 * k + 8) + block + (1 << 16)
 
 
 def _partition_ids(q, n, k, pivots, start, stop, powers):

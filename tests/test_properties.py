@@ -55,7 +55,7 @@ from toriso.linalg import (
     hnf,
     lattices_equal,
 )
-from toriso.search import _key_rows, _label_dtype, _orbit_rows, _pack, _pack_powers, _padded_sigs, _permuted_rrefs, run_search
+from toriso.search import _SORT_BLOCK, _key_rows, _label_dtype, _orbit_rows, _pack, _pack_powers, _permuted_rrefs, run_search
 from toriso.spectra import Verdict, certify
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -238,17 +238,14 @@ def sig_rows(draw):
 @SETTINGS
 @given(sig_rows())
 @example(np.arange(1, dtype=np.uint64).reshape(1, 1))
+@example(np.array([[3, 1, 2]], np.uint8))
 @example(np.arange(256, dtype=np.uint8).reshape(256, 1))  # 256 keys: uint8 labels
 @example(np.arange(257, dtype=np.uint16).reshape(257, 1))
 @example(np.array([[1, 0], [0, 1], [256, 0], [0, 256]], np.uint16))  # bytewise, not numeric, order
+@example((np.arange(3 * (2 * _SORT_BLOCK + 5)) * 7 % 11).astype(np.uint8).reshape(-1, 3))  # the last sort block partial
 def test_key_rows_are_the_void_row_oracle(sig):
-    # each row padded with 0 sigs to whole 8-byte words, as the scan pads it
-    rows, width = sig.shape
-    padded = np.zeros((rows, _padded_sigs(width, sig.itemsize)), sig.dtype)
-    padded[:, :width] = sig
-    assert padded.shape[1] * sig.itemsize % 8 == 0
-    keys, labels = _key_rows(padded, width)
     want_keys, want_labels = void_row_keys(sig)
+    keys, labels = _key_rows(sig.copy())
     assert keys.dtype == want_keys.dtype and keys.tobytes() == want_keys.tobytes()
     assert labels.dtype == _label_dtype(len(want_keys)) and labels.tolist() == want_labels.tolist()
 
