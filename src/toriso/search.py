@@ -2,15 +2,15 @@
 monomially inequivalent codes sharing one folded weight distribution.
 
 The scan is exact end to end.  Codes are generated per reduced-echelon
-pivot pattern and their codewords weighed in vectorized batches (a
-word's coordinate c . g[:, j] depends only on the code's column j, so
-each coordinate adds one row of a q**k-row term table to all of a
-code's words).  A word's sig is the sum of c_w * (n + 1)**(w - 1) over
-the counts c_w <= n of its folded values w = 1..q//2, so it spells the
-word's folded composition in base n + 1, and a search needs
-(n + 1)**(q//2) < 2**63 so that the int64 terms cannot wrap.  Since
-fold(-v) = fold(v), the words c . G and -c . G have one sig, and the
-zero word's sig is 0.  So the sorted sigs of all q**k words are a 0
+pivot pattern, one per sign orbit (below), and their codewords weighed
+in vectorized batches (a word's coordinate c . g[:, j] depends only on
+the code's column j, so each coordinate adds one row of a q**k-row term
+table to all of a code's words).  A word's sig is the sum of c_w * (n +
+1)**(w - 1) over the counts c_w <= n of its folded values w = 1..q//2,
+so it spells the word's folded composition in base n + 1, and a search
+needs (n + 1)**(q//2) < 2**63 so that the int64 terms cannot wrap.
+Since fold(-v) = fold(v), the words c . G and -c . G have one sig, and
+the zero word's sig is 0.  So the sorted sigs of all q**k words are a 0
 followed by the sigs of one word of each +-pair, each taken twice (over
 GF(2) every word is its own pair and taken once), and the scan weighs
 only the coefficient vectors c != 0 with index(c) <= index(-c): (q**k -
@@ -19,17 +19,53 @@ those sigs is thus its weight distribution; read as one opaque byte
 string, it is an exact bucket key: two codes share one if and only if
 their weight distributions are equal.  A partition returns its sorted
 distinct keys and one label, an index into them, per code; packed code
-ids are computed from the id ranges at the merge.  A code's 1-byte sigs
-are sorted as uint32, in blocks of rows, since numpy's SIMD sorts take
-32-bit keys with AVX2 or AVX-512 but 8-bit keys with neither; wider sigs
-are sorted as they are.  np.unique over the sorted rows read as void
-then gives the distinct keys in bytewise order.
+ids and weights are computed from the representative ranges at the
+merge.  A code's 1-byte sigs are sorted as uint32, in blocks of rows,
+since numpy's SIMD sorts take 32-bit keys with AVX2 or AVX-512 but 8-bit
+keys with neither; wider sigs are sorted as they are.  np.unique over
+the sorted rows read as void then gives the distinct keys in bytewise
+order.
 Buckets are then partitioned into monomial equivalence classes by orbit
 subtraction: the full signed permutation orbit of one member is packed,
 in canonical form, and intersected with the bucket, which removes that
 class exactly.  Buckets with at least min_tuple classes survive as
 collision tuples and are re-verified through the scalar code path and
 the lattice correspondence before being reported.
+
+Sign orbits.  Every pivot pattern is closed under row signs s_i (with the
+matching pivot column sign, which keeps the pivot 1) and non-pivot column
+signs t_j, which map a free entry A[i, j] to s_i t_j A[i, j]; these maps
+are monomial, so they keep the weight distribution and the class.  Read
+the support of A as a bipartite graph on the k rows and the n - k
+non-pivot columns, and take its entries in row-major order, as in
+Kruskal's algorithm: an entry that joins two components is a forest
+entry.  The signs that fix A are constant on each component, so A's sign
+orbit has 2**(n - c) members, c being the number of components with
+isolated vertices counted, and it holds exactly one code whose forest
+entries all lie in 1..(q - 1)/2 (fix each forest entry in turn by
+flipping the component on its column side, which no earlier entry
+crosses).  The scan enumerates those representatives only and weighs
+each by its orbit size: per support mask (the free positions in
+row-major order, the first one the most significant bit) the
+representatives are a product set, forest entries in 1..(q - 1)/2 and
+other support entries in 1..q - 1, numbered by mask and then in mixed
+radix, the last free position the least significant digit; _supports
+caches each pattern's forest masks and the numbers of the masks' first
+representatives.  A mask's representatives times their weight are (q -
+1)**|support|, so the weights sum to q**|free| on every pattern, and
+run_search checks that they sum to the family's size.  Over GF(2), where
+-1 = 1, every code is its own representative, of weight 1, and its
+number is its base-2 code number.  A bucket holds representative ids
+and their weights; a code lies in a class exactly when its id lies in
+the class's packed orbit, so a class's size is the weight of the
+bucket's representatives its orbit holds.
+
+Partitions keep the code-number split: pattern p has ceil(q**|free_p| /
+chunk_size) partitions keyed "p:c", and partition c holds its
+representatives c * R_p // P_p up to (c + 1) * R_p // P_p, R_p being
+their number and P_p the pattern's partitions.  So a search has as many
+partitions and progress calls as over codes, and a partition may be
+empty.
 
 An orbit costs C(n, k) row reductions, not n! * 2**n.  Let R = RREF(G P)
 for a column permutation P, with pivot column p(i) in row i.  Its pivots
@@ -58,8 +94,8 @@ single sign fewer, and a masked subtraction and a sum over the k rows
 give every packed id.  Over GF(2) the only sign is 1.
 
 Orbit subtraction runs in rounds across all buckets that hold at least
-min_tuple ids: each round takes the least id left in every bucket not
-yet empty as its representative, and one numpy pass packs the orbits of
+min_tuple representatives: each round takes the least id left in every
+bucket not yet empty, and one numpy pass packs the orbits of
 a block of representatives, as many as fit a few MiB by the orbit
 estimate.  Membership is a binary search in each sorted orbit.  Each
 bucket's classes come out as its own loop would give them, so the
@@ -72,17 +108,18 @@ keys, class representatives, and reported tuples are all sorted, so a
 finished search is byte-for-byte reproducible.
 
 A checkpoint is a sequence of gzip members, one JSON line each: a header
-{"schema": 5, "params": ...} naming the search, then one [key, [hex
+{"schema": 6, "params": ...} naming the search, then one [key, [hex
 bucket keys], hex little-endian labels] record per finished partition,
-in partition order.  Each record is encoded and compressed once, when
+one label per representative, in partition order.  Each record is encoded and compressed once, when
 its partition finishes, and appended; every save writes the whole byte
 string to a sibling temporary file and renames it over the checkpoint,
 so a crash leaves the previous checkpoint intact.  A resumed search
 reads the file once, skips the partitions it holds and appends the rest,
 so its final checkpoint is byte-identical to that of an uninterrupted
 run.  A key is _half_words(q, k) sigs of _sig_dtype; schema 3 keyed
-buckets by count rows and schema 4 by the sigs of all q**k words, so
-their files are refused by the schema.
+buckets by count rows, schema 4 by the sigs of all q**k words and schema
+5 labelled every code rather than every representative, so their files
+are refused by the schema.
 
 Duality: (q, n, n - k) repeats (q, n, k), so only k <= n/2 needs a run.
 lift(C)* = (1/q) lift(C^perp) for the dual code under the product mod q:
@@ -95,8 +132,8 @@ of the code's.  So C -> C^perp carries buckets, classes and tuples one to
 one, on the systematic family too once [I | A]^perp = [-A^T | I] has its
 two column blocks swapped.
 
-_patterns, _free_positions and _digits are the library's one enumeration
-of codes.  The scalar orbit in toriso.codes repeats the packed orbit here
+_patterns, _free_positions, _supports and _entries are the library's one
+enumeration of codes.  The scalar orbit in toriso.codes repeats the packed orbit here
 on purpose, as verify_tuple's independent re-check (see that module).
 """
 
@@ -132,7 +169,7 @@ from .spectra import IsoCertificate, Verdict, certify
 MAX_TOTAL_CODES = 50_000_000
 MAX_PARTITION_BYTES = 1 << 28  # largest table one scan partition or orbit may allocate
 _ORBIT_BLOCK_BYTES = 1 << 22  # orbit estimates of the representatives stacked in one _orbit_rows call
-CHECKPOINT_SCHEMA = 5
+CHECKPOINT_SCHEMA = 6
 _SORT_BLOCK = 1024  # rows of 1-byte sigs sorted at a time as uint32
 
 
@@ -190,13 +227,63 @@ def _free_positions(n: int, k: int, pivots) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
 
 
-def _digits(q, n, k, pivots, start, stop):
-    """(free position, base-q digit of each code number start..stop-1)
-    pairs of one pivot pattern, least significant digit first."""
-    x = np.arange(start, stop, dtype=np.int64)
-    for pos in reversed(_free_positions(n, k, pivots)):
-        x, digit = np.divmod(x, q)
-        yield pos, digit
+@lru_cache(maxsize=8)
+def _supports(q, n, k, pivots):
+    """Support table of one pivot pattern, for odd q: per support mask
+    (bit F - 1 - f set when free position f is nonzero, F free positions),
+    its Kruskal forest as such a mask, and the number of its first
+    representative, with the pattern's representative count appended."""
+    free = _free_positions(n, k, pivots)
+    masks = np.arange(1 << len(free), dtype=np.int64)
+    forest = np.zeros_like(masks)
+    # vertices: the k rows, then the non-pivot columns; comp labels each
+    # vertex with its component
+    vertex = dict(zip((j for j in range(n) if j not in pivots), range(k, n)))
+    comp = np.tile(np.arange(n, dtype=np.int8), (len(masks), 1))
+    for f, (i, j) in enumerate(free):
+        bit = len(free) - 1 - f
+        row, col = comp[:, i].copy(), comp[:, vertex[j]].copy()
+        join = (masks >> bit & 1).astype(bool) & (row != col)
+        forest[join] |= 1 << bit
+        np.copyto(comp, row[:, None], where=join[:, None] & (comp == col[:, None]))
+    trees = np.bitwise_count(forest).astype(np.int64)
+    counts = ((q - 1) // 2) ** trees * (q - 1) ** (np.bitwise_count(masks) - trees)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    forest.setflags(write=False)  # every caller of the cache shares them
+    offsets.setflags(write=False)
+    return forest, offsets
+
+
+def _representatives(q, n, k, pivots) -> int:
+    """Sign-orbit representatives of one pivot pattern; over GF(2), where
+    -1 = 1, every code."""
+    return 2 ** len(_free_positions(n, k, pivots)) if q == 2 else int(_supports(q, n, k, pivots)[1][-1])
+
+
+def _locate(q, n, k, pivots, start, stop):
+    """Support mask, forest mask and place in the mask's product set of
+    each representative start..stop-1 of one pivot pattern.  Over GF(2) a
+    representative's number is its mask, as a base-2 code number."""
+    number = np.arange(start, stop, dtype=np.int64)
+    if q == 2:
+        return number, np.zeros_like(number), np.zeros_like(number)
+    forests, offsets = _supports(q, n, k, pivots)
+    mask = np.searchsorted(offsets, number, side="right") - 1
+    return mask, forests[mask], number - offsets[mask]
+
+
+def _entries(q, n, k, pivots, start, stop):
+    """(free position, entry of each representative start..stop-1) pairs
+    of one pivot pattern, the last free position first: the place in the
+    mask's product set is read in mixed radix, the last free position its
+    least significant digit, a forest entry taking 1..(q - 1)/2, any other
+    support entry 1..q - 1 and an entry off the support 0."""
+    mask, forest, place = _locate(q, n, k, pivots, start, stop)
+    radix = np.array([1, q - 1, (q - 1) // 2])  # off the support, on it, in the forest
+    for bit, pos in enumerate(reversed(_free_positions(n, k, pivots))):
+        on = mask >> bit & 1
+        place, digit = np.divmod(place, radix[on + (forest >> bit & 1)])
+        yield pos, on * (digit + 1)
 
 
 @lru_cache(maxsize=8)
@@ -364,25 +451,22 @@ def _half_words(q: int, k: int) -> int:
 
 
 def _columns(q, n, k, pivots, start, stop):
-    """column[:, j] of the codes start..stop-1 of one pivot pattern: code
-    column j as a row of _scan_partition's term table, sum of g[i, j] *
-    q**(k - 1 - i).  Its digits die with the call, not with the scan."""
+    """column[:, j] of the representatives start..stop-1 of one pivot
+    pattern: code column j as a row of _scan_partition's term table, sum of
+    g[i, j] * q**(k - 1 - i).  Its entries die with the call, not with the
+    scan."""
     column = np.zeros((stop - start, n), dtype=np.int64)
     column[:, list(pivots)] = q ** np.arange(k - 1, -1, -1)  # a pivot column holds a single 1
-    for (i, j), digit in _digits(q, n, k, pivots, start, stop):
-        column[:, j] += digit * q ** (k - 1 - i)
+    for (i, j), entry in _entries(q, n, k, pivots, start, stop):
+        column[:, j] += entry * q ** (k - 1 - i)
     return column
 
 
-def _scan_partition(q, n, k, pivots, start, stop):
-    """(keys, labels) of one id range of one pivot pattern: the sorted
-    distinct rows of the sorted sigs of _half_words(q, k) words of each
-    code, as one void array, and each code's index into keys, in code
-    order, as _label_dtype(len(keys))."""
-    column = _columns(q, n, k, pivots, start, stop)
-    # row a of table holds the sig terms of a code column coeffs[a] in the
-    # words of one coefficient vector c of each +-pair: c != 0 with
-    # index(c) <= index(-c), index(c) being its place in coeffs (module docstring)
+@lru_cache(maxsize=8)
+def _term_table(q, n, k):
+    """Row a holds the sig terms of a code column coeffs[a] in the words of
+    one coefficient vector c of each +-pair: c != 0 with index(c) <=
+    index(-c), index(c) being its place in coeffs (module docstring)."""
     coeffs = np.indices((q,) * k, dtype=np.int64).reshape(k, -1)  # in product(range(q), repeat=k) order
     index = np.arange(q**k)
     half = coeffs[:, (index > 0) & (index <= q ** np.arange(k - 1, -1, -1) @ (-coeffs % q))]
@@ -390,6 +474,17 @@ def _scan_partition(q, n, k, pivots, start, stop):
     term = np.where(fold > 0, (n + 1) ** np.maximum(fold - 1, 0), 0).astype(_sig_dtype(q, n))
     dots = coeffs.T @ half
     table = term[np.remainder(dots, q, out=dots)]
+    table.setflags(write=False)  # every caller of the cache shares it
+    return table
+
+
+def _scan_partition(q, n, k, pivots, start, stop):
+    """(keys, labels) of one range of representatives of one pivot pattern:
+    the sorted distinct rows of the sorted sigs of _half_words(q, k) words
+    of each code, as one void array, and each code's index into keys, in
+    representative order, as _label_dtype(len(keys))."""
+    column = _columns(q, n, k, pivots, start, stop)
+    table = _term_table(q, n, k)
     sig = table[column[:, 0]]
     for j in range(1, n):
         sig += table[column[:, j]]
@@ -403,7 +498,7 @@ def _key_rows(sig):
     if sig.itemsize == 1:
         # as uint32 for numpy's SIMD sorts (module docstring)
         block = np.empty((min(len(sig), _SORT_BLOCK), sig.shape[1]), np.uint32)
-        for lo in range(0, len(sig), len(block)):
+        for lo in range(0, len(sig), _SORT_BLOCK):
             part = block[: len(sig) - lo]
             part[...] = sig[lo : lo + len(part)]
             part.sort(axis=1)
@@ -415,25 +510,33 @@ def _key_rows(sig):
 
 
 def _scan_bytes(q, n, k, rows):
-    """Bytes _scan_partition allocates at most for rows codes: per code, n
-    int64 column indices, 4 rows of _half_words(q, k) sigs, np.unique's 3
-    int64 and 1 bool indices; per coefficient vector, a table row of int64
+    """Bytes _scan_partition allocates at most for rows codes, its cached
+    term table and the support table of the largest pivot pattern: per
+    code, n int64 column indices, 4 rows of _half_words(q, k) sigs,
+    np.unique's 3 int64 and 1 bool indices, and 11 int64 words of its
+    place, masks and digits; per coefficient vector, a table row of int64
     products and sigs, its k int64 coefficients and their negatives, and
-    its int64 index; once, the uint32 sort block of 1-byte sigs and 64
-    KiB."""
+    its int64 index; for odd q, per support mask of the k * (n - k) free
+    positions, 12 int64 words of its forest, offset, count and their
+    temporaries and 3 bytes a vertex of component labels; once, the uint32
+    sort block of 1-byte sigs and 64 KiB."""
     size, half = _sig_dtype(q, n).itemsize, _half_words(q, k)
     block = 4 * half * min(rows, _SORT_BLOCK) if size == 1 else 0
-    return rows * (8 * n + 4 * half * size + 25) + q**k * (half * (8 + size) + 16 * k + 8) + block + (1 << 16)
+    supports = 0 if q == 2 else (96 + 3 * n) << k * (n - k)
+    return rows * (8 * n + 4 * half * size + 113) + q**k * (half * (8 + size) + 16 * k + 8) + supports + block + (1 << 16)
 
 
 def _partition_ids(q, n, k, pivots, start, stop, powers):
-    """Packed ids of the codes start..stop-1 of one pivot pattern, in
-    code order, which is increasing id order: the pivots' constant plus
-    each base-q digit of the code number times its free position's power."""
+    """Packed ids and weights of the representatives start..stop-1 of one
+    pivot pattern, in representative order: the pivots' constant plus each
+    entry times its free position's power, and 2**(number of forest
+    entries), the size of the sign orbit."""
     ids = np.full(stop - start, sum(int(powers[i * n + p]) for i, p in enumerate(pivots)), dtype=np.int64)
-    for (i, j), digit in _digits(q, n, k, pivots, start, stop):
-        ids += digit * powers[i * n + j]
-    return ids
+    for (i, j), entry in _entries(q, n, k, pivots, start, stop):
+        ids += entry * powers[i * n + j]
+    # a forest on the n vertices has at most n - 1 entries
+    weight = np.min_scalar_type(1 << (n - 1))
+    return ids, np.left_shift(1, np.bitwise_count(_locate(q, n, k, pivots, start, stop)[1]), dtype=weight)
 
 
 def _scan_partition_job(args):
@@ -566,26 +669,28 @@ def _checkpoint_save(path, state: bytes):
 def _monomial_classes(buckets, q, n, powers, min_tuple, block):
     """{bucket key: sorted (canonical id, class size) pairs} for every
     bucket with at least min_tuple monomial classes, by orbit subtraction
-    in rounds: each round takes the least id left in every bucket not yet
-    empty as its representative, stacks up to block representatives per
-    _orbit_rows call, and removes each representative's class from its
-    bucket."""
-    left = {kb: ids for kb, ids in buckets.items() if len(ids) >= min_tuple}
+    in rounds.  A bucket is its sorted representative ids and their
+    weights; one with fewer than min_tuple representatives cannot hold
+    min_tuple classes.  Each round takes the least id left in every
+    bucket not yet empty, stacks up to block of them per _orbit_rows
+    call, and removes from each bucket the representatives in its
+    representative's orbit, whose weights sum to the class size."""
+    left = {kb: bucket for kb, bucket in buckets.items() if len(bucket[0]) >= min_tuple}
     classes = {kb: [] for kb in left}
     active = sorted(left)
     while active:
         for lo in range(0, len(active), block):
             keys = active[lo : lo + block]
-            reps = np.array([left[kb][0] for kb in keys])
+            reps = np.array([left[kb][0][0] for kb in keys])
             orbits = _orbit_rows(_unpack(reps, q, n, powers), q, powers)
             for kb, orbit in zip(keys, orbits):
-                rem = left[kb]
-                member = orbit[np.minimum(np.searchsorted(orbit, rem), orbit.size - 1)] == rem
+                ids, weights = left[kb]
+                member = orbit[np.minimum(np.searchsorted(orbit, ids), orbit.size - 1)] == ids
                 if not member[0]:
                     raise ArithmeticError("representative must lie in its own orbit")
-                classes[kb].append((int(orbit[0]), int(member.sum())))
-                left[kb] = rem[~member]
-        active = [kb for kb in active if len(left[kb])]
+                classes[kb].append((int(orbit[0]), int(weights[member].sum())))
+                left[kb] = ids[~member], weights[~member]
+        active = [kb for kb in active if len(left[kb][0])]
     return {kb: sorted(found) for kb, found in sorted(classes.items()) if len(found) >= min_tuple}
 
 
@@ -602,13 +707,14 @@ def run_search(
     checkpoint_path=None,
     progress=None,
 ) -> SearchReport:
-    """Scan every code of the family and report collision tuples, each
-    verified from scratch unless verify=False.
+    """Scan every code of the family, one per sign orbit, and report
+    collision tuples, each verified from scratch unless verify=False.
 
-    The scan is split into fixed id-range partitions (checkpoint
-    granularity; a resumed search skips finished partitions).  jobs > 1
-    distributes partitions over processes; results are merged in
-    partition order either way, so the outcome does not depend on jobs.
+    The scan is split into fixed partitions of each pivot pattern's
+    sign-orbit representatives (checkpoint granularity; a resumed search
+    skips finished partitions).  jobs > 1 distributes partitions over
+    processes; results are merged in partition order either way, so the
+    outcome does not depend on jobs.
     """
     if not 0 < k <= n:
         raise CodeError("dimension k must lie in 1..n")
@@ -643,11 +749,12 @@ def run_search(
         raise CodeError(f"one monomial orbit needs about {orbit} bytes, above the {MAX_PARTITION_BYTES} guard")
     params = {"q": q, "n": n, "k": k, "family": family, "chunk": chunk_size}
 
-    partitions = [
-        (f"{p}:{c}", (q, n, k, piv, start, min(start + chunk_size, total)))
-        for p, (piv, total) in enumerate(zip(patterns, totals))
-        for c, start in enumerate(range(0, total, chunk_size))
-    ]
+    # pattern p keeps ceil(total / chunk_size) partitions, its representatives
+    # dealt over them in order, so a partition may be empty
+    partitions = []
+    for p, (piv, total) in enumerate(zip(patterns, totals)):
+        reps, parts = _representatives(q, n, k, piv), -(-total // chunk_size)
+        partitions += [(f"{p}:{c}", (q, n, k, piv, c * reps // parts, (c + 1) * reps // parts)) for c in range(parts)]
 
     done, state = {}, b""
     if checkpoint_path:
@@ -682,10 +789,15 @@ def run_search(
     starts = np.cumsum([0] + [len(part_keys) for part_keys, _ in parts])
     labels = np.concatenate([where[start:][part_labels] for start, (_, part_labels) in zip(starts, parts)])
     labels = labels.astype(_label_dtype(len(keys)))
-    ids = np.concatenate([_partition_ids(*args, powers) for _, args in partitions])
+    ids, weights = (np.concatenate(part) for part in zip(*(_partition_ids(*args, powers) for _, args in partitions)))
+    scanned = int(weights.sum())
+    if scanned != sum(totals):  # raised, not asserted, so it holds under python -O
+        raise ArithmeticError(f"sign-orbit weights sum to {scanned}, not to the family's {sum(totals)} codes")
     order = np.argsort(ids)
-    ids = ids[order[np.argsort(labels[order], kind="stable")]]
-    buckets = dict(enumerate(np.split(ids, np.cumsum(np.bincount(labels, minlength=len(keys)))[:-1])))
+    order = order[np.argsort(labels[order], kind="stable")]
+    ids, weights = ids[order], weights[order]
+    cuts = np.cumsum(np.bincount(labels, minlength=len(keys)))[:-1]
+    buckets = dict(enumerate(zip(np.split(ids, cuts), np.split(weights, cuts))))
 
     collisions = []
     fixed = _orbit_bytes(q, n, k, 0)
@@ -698,7 +810,7 @@ def run_search(
             tup = verify_tuple(codes)
         else:
             tup = CollisionTuple(codes, tuple(lift(c) for c in codes), weight_distribution(codes[0]))
-        collisions.append(dataclasses.replace(tup, bucket_size=len(buckets[kb]), class_sizes=sizes))
+        collisions.append(dataclasses.replace(tup, bucket_size=int(buckets[kb][1].sum()), class_sizes=sizes))
 
     collisions.sort(key=lambda t: tuple(c.rows for c in t.codes))
-    return SearchReport(q, n, k, family, min_tuple, sum(totals), len(buckets), tuple(collisions), verify)
+    return SearchReport(q, n, k, family, min_tuple, scanned, len(buckets), tuple(collisions), verify)

@@ -1,10 +1,10 @@
-"""Scalar test oracles for code enumeration, collision grouping and the
-scan's keying of sig rows.
+"""Scalar test oracles for code enumeration, sign-orbit representatives,
+collision grouping and the scan's keying of sig rows.
 
 They share only LinearCode's canonical rows and weight_distribution with
-the library, and none of the scan's pivot-pattern enumeration, codeword
-tables, bucket grouping or packed orbit code, so agreement with
-toriso.search is evidence rather than circularity.
+the library, and none of the scan's pivot-pattern enumeration, support
+tables, codeword tables, bucket grouping or packed orbit code, so
+agreement with toriso.search is evidence rather than circularity.
 """
 
 import itertools
@@ -22,6 +22,49 @@ def monomial_images(code):
         for sign in itertools.product(signs, repeat=n):
             rows = tuple(tuple(sign[i] * r[perm[i]] % q for i in range(n)) for r in code.rows)
             yield LinearCode(q, n, rows)
+
+
+def sign_images(code):
+    """Canonical rows of every image of the code under column signs, which
+    is its orbit under the row and column signs that keep its pivots."""
+    q, n = code.modulus, code.length
+    signs = (1,) if q == 2 else (1, q - 1)
+    return {LinearCode(q, n, tuple(tuple(d[j] * r[j] % q for j in range(n)) for r in code.rows)).rows for d in itertools.product(signs, repeat=n)}
+
+
+def kruskal_forest(rows):
+    """The entries (i, j) of canonical rows, in row-major order, that join
+    two components of the graph whose vertices are the rows and the
+    non-pivot columns and whose edges are the nonzero non-pivot entries."""
+    pivots = {next(j for j, x in enumerate(r) if x) for r in rows}
+    parent = {}
+
+    def root(v):
+        while v in parent:
+            v = parent[v]
+        return v
+
+    forest = []
+    for i, r in enumerate(rows):
+        for j, x in enumerate(r):
+            a, b = root(("row", i)), root(("column", j))
+            if x and j not in pivots and a != b:
+                parent[b] = a
+                forest.append((i, j))
+    return forest
+
+
+def sign_canonical(code):
+    """The code's sign-orbit representative, by brute force over all 2**n
+    column sign patterns, and the size of its sign orbit: the one image
+    whose Kruskal forest entries all lie in 1..(q - 1)/2.  Over GF(2),
+    where -1 = 1, the code itself."""
+    q, images = code.modulus, sign_images(code)
+    if q == 2:
+        return code.rows, 1
+    reps = [rows for rows in images if all(rows[i][j] <= (q - 1) // 2 for i, j in kruskal_forest(rows))]
+    assert len(reps) == 1, reps
+    return reps[0], len(images)
 
 
 def permuted_reductions(rows, q):

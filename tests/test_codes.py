@@ -1,9 +1,8 @@
-import itertools
 import random
 
 import pytest
 
-from code_oracles import all_codes, monomial_images
+from code_oracles import all_codes, monomial_images, sign_canonical, sign_images
 from toriso.codes import (
     CodeError,
     LinearCode,
@@ -15,7 +14,7 @@ from toriso.codes import (
 )
 from toriso.lattices import LatticeError, Lattice
 from toriso.linalg import Mat, det, lattices_equal
-from toriso.search import _free_positions, _patterns, run_search
+from toriso.search import _pack_powers, _partition_ids, _patterns, _representatives, _unpack, run_search
 from toriso import triplet
 
 
@@ -85,15 +84,13 @@ def test_lift_project_round_trip_all_small_codes(q, n):
 
 
 def scan_codes(q, n, k, family="all"):
-    # the generator matrices the scan builds: one pivot pattern at a time,
-    # free positions filled with every tuple of residues
+    # the generator matrices the scan builds and their weights: one pivot
+    # pattern at a time, its whole range of sign-orbit representatives
+    powers = _pack_powers(q, k, n)
     for pivots in _patterns(n, k, family):
-        free = _free_positions(n, k, pivots)
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [[int(j == p) for j in range(n)] for p in pivots]
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+        ids, weights = _partition_ids(q, n, k, pivots, 0, _representatives(q, n, k, pivots), powers)
+        for rows, weight in zip(_unpack(ids, q, n, powers).tolist(), weights.tolist()):
+            yield tuple(map(tuple, rows)), weight
 
 
 def test_enumerate_codes_counts():
@@ -105,16 +102,20 @@ def test_enumerate_codes_counts():
 
 
 def test_enumerate_codes_yields_distinct_canonical_codes():
-    # every scanned generator matrix is already canonical, and the scan
-    # meets every code exactly once
-    for q, n, k in ((2, 4, 2), (3, 3, 2), (3, 4, 1)):
-        rows = list(scan_codes(q, n, k))
-        assert all(LinearCode(q, n, r).rows == r for r in rows)
-        assert sorted(rows) == [c.rows for c in all_codes(q, n, k)]
+    # every scanned generator matrix is already canonical and its own
+    # sign-orbit representative, weighing its sign orbit, and the sign
+    # orbits of the scan meet every code exactly once
+    for q, n, k in ((2, 4, 2), (3, 3, 2), (3, 4, 1), (3, 4, 2), (5, 3, 2), (7, 3, 1)):
+        scanned = list(scan_codes(q, n, k))
+        assert all(LinearCode(q, n, rows).rows == rows for rows, _ in scanned)
+        assert all(sign_canonical(LinearCode(q, n, rows)) == (rows, weight) for rows, weight in scanned)
+        orbits = sorted(image for rows, _ in scanned for image in sign_images(LinearCode(q, n, rows)))
+        assert orbits == [c.rows for c in all_codes(q, n, k)]
 
 
 def test_enumerate_codes_systematic_have_identity_block():
-    for rows in scan_codes(5, 4, 2, family="systematic"):
+    assert sum(weight for _, weight in scan_codes(5, 4, 2, family="systematic")) == 5**4
+    for rows, _ in scan_codes(5, 4, 2, family="systematic"):
         assert [r[:2] for r in rows] == [(1, 0), (0, 1)]
 
 

@@ -7,18 +7,20 @@ and the Mat products and inverse against their oracles, the Hermite
 normal form as a canonical lattice basis, lattice decompositions,
 minimal vectors and ladders that do not depend on the basis, the scan's
 keying of sig rows against np.unique over void rows, and code-search
-reports and checkpoints that do not depend on --jobs or on a resume.
+reports and checkpoints that do not depend on --jobs or on a resume, and
+the scan's sign-orbit representatives against a brute-force oracle.
 
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
 to keep each enumeration to milliseconds.  Codes have length at most 4,
 so a scalar orbit holds at most 4! * 2**4 images, and generator matrices
-checked against the n! permuted reductions length at most 5.
+checked against the n! permuted reductions length at most 5; codes
+brought to their sign-orbit representatives have length at most 6.
 """
 
 import tempfile
 from collections import Counter
-from math import factorial, isqrt, prod
+from math import factorial, isqrt, log2, prod
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +29,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from code_oracles import expanded_canonical_form, monomial_images, permuted_reductions, void_row_keys
+from code_oracles import expanded_canonical_form, kruskal_forest, monomial_images, permuted_reductions, sign_canonical, void_row_keys
 from isometry_oracles import ball_shells
 from linalg_oracles import (
     box_oracle,
@@ -39,7 +41,7 @@ from linalg_oracles import (
 )
 from spectra_oracles import form_direct_sum, loop_squared_counts
 from toriso import spectra
-from toriso.codes import LinearCode, canonical_monomial_form
+from toriso.codes import LinearCode, canonical_monomial_form, weight_distribution
 from toriso.enumeration import _canonical_sign, _shells, enumerate_up_to, independent_ladder, rep_spectrum, shortest_vectors
 from toriso.decomposition import decompose
 from toriso.lattices import GramForm, Lattice, _reduced_gram, _scaled_form
@@ -55,7 +57,20 @@ from toriso.linalg import (
     hnf,
     lattices_equal,
 )
-from toriso.search import _SORT_BLOCK, _key_rows, _label_dtype, _orbit_rows, _pack, _pack_powers, _permuted_rrefs, run_search
+from toriso.search import (
+    _SORT_BLOCK,
+    _free_positions,
+    _key_rows,
+    _label_dtype,
+    _orbit_rows,
+    _pack,
+    _pack_powers,
+    _partition_ids,
+    _patterns,
+    _permuted_rrefs,
+    _supports,
+    run_search,
+)
 from toriso.spectra import Verdict, certify
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -168,6 +183,51 @@ def test_stacked_orbit_rows_are_the_scalar_orbits(data):
         want = {int(_pack(np.array([img.rows]), powers)[0]) for img in monomial_images(LinearCode(q, n, rep))}
         assert np.unique(row).tolist() == sorted(want)
         assert np.all(row[:-1] <= row[1:])
+
+
+@st.composite
+def pattern_codes(draw):
+    """A code over GF(q), odd q <= 13, of length n <= 6 in reduced echelon
+    form with the systematic pivots or a random pivot pattern, each free
+    entry 0 half the time, whose packed id fits 62 bits; and its pivots."""
+    q = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    n = draw(st.integers(1, 6))
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if k * n * log2(q) <= 62]))
+    pivots = draw(st.sampled_from([tuple(range(k))] + _patterns(n, k, "all")))
+    rows = [[int(j == p) for j in range(n)] for p in pivots]
+    for i, j in _free_positions(n, k, pivots):
+        rows[i][j] = draw(st.one_of(st.just(0), st.integers(1, q - 1)))
+    return LinearCode(q, n, tuple(map(tuple, rows))), pivots
+
+
+@SETTINGS
+@given(pattern_codes())
+@example((LinearCode(13, 6, ((1, 0, 12, 7, 9, 3), (0, 1, 11, 0, 8, 12))), (0, 1)))
+@example((LinearCode(7, 6, ((1, 0, 0, 6, 5, 4), (0, 1, 0, 0, 6, 2), (0, 0, 1, 5, 0, 6))), (0, 1, 2)))
+def test_sign_orbit_representative_is_enumerated(drawn):
+    # the oracle's representative, found by brute force over all column
+    # signs, is the scan's representative at its place: support table
+    # offset plus the mixed-radix number of its entries, forest entries in
+    # 1..(q - 1)/2 and other support entries in 1..q - 1
+    code, pivots = drawn
+    q, n, k = code.modulus, code.length, len(pivots)
+    rows, size = sign_canonical(code)
+    assert sign_canonical(LinearCode(q, n, rows)) == (rows, size)  # idempotent
+    free = _free_positions(n, k, pivots)
+    forest = kruskal_forest(rows)
+    mask, number = 0, 0
+    for i, j in free:
+        mask = 2 * mask + (rows[i][j] != 0)
+        if rows[i][j]:
+            number = number * ((q - 1) // 2 if (i, j) in forest else q - 1) + rows[i][j] - 1
+    place = int(_supports(q, n, k, pivots)[1][mask]) + number
+    powers = _pack_powers(q, k, n)
+    ids, weights = _partition_ids(q, n, k, pivots, place, place + 1, powers)
+    assert (ids.tolist(), weights.tolist()) == (_pack(np.array([rows]), powers).tolist(), [size])
+    rep = LinearCode(q, n, rows)
+    assert weight_distribution(rep) == weight_distribution(code)
+    if n <= 5:  # the scalar form takes about 0.2 s a code of length 6
+        assert canonical_monomial_form(rep) == canonical_monomial_form(code)
 
 
 @st.composite

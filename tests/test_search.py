@@ -3,14 +3,25 @@ import hashlib
 import json
 import tracemalloc
 from concurrent.futures import Future
+from math import log2
 
 import numpy as np
 import pytest
 
-from code_oracles import all_codes, collide_codes, count_row, dual_code, group_rows, monomial_images, subtract_orbits
+from code_oracles import (
+    all_codes,
+    collide_codes,
+    count_row,
+    dual_code,
+    group_rows,
+    monomial_images,
+    sign_canonical,
+    sign_images,
+    subtract_orbits,
+)
 from toriso import search, triplet
 from toriso.cli import main
-from toriso.codes import CodeError, LinearCode, canonical_monomial_form, weight_distribution
+from toriso.codes import CodeError, LinearCode, _is_prime, canonical_monomial_form, weight_distribution
 from toriso.search import (
     TupleVerificationError,
     _batch_rref,
@@ -95,23 +106,39 @@ def test_orbit_ids_match_scalar_orbit():
                 assert np.unique(row).tolist() == want, (q, k, code.rows)
 
 
+def representatives(q, n, k, family="all"):
+    """Packed ids and weights of every representative the scan enumerates,
+    over whole representative ranges of each pivot pattern."""
+    powers = _pack_powers(q, k, n)
+    parts = [search._partition_ids(q, n, k, piv, 0, search._representatives(q, n, k, piv), powers) for piv in search._patterns(n, k, family)]
+    return np.concatenate([ids for ids, _ in parts]), np.concatenate([weights for _, weights in parts])
+
+
 def test_orbit_rounds_match_per_bucket_oracle():
-    # the 130 codes of (3, 4, 2) dealt into three buckets by id, so each
-    # bucket holds several classes and is split over several rounds; one
-    # more bucket holds one id of each of three classes, and a one-id
-    # bucket stays below every min_tuple
+    # the 36 representatives of the 130 codes of (3, 4, 2) dealt into three
+    # buckets by rank, so each bucket holds several classes and is split over
+    # several rounds; one more bucket holds one representative of each of
+    # three classes, and a one-representative bucket stays below every
+    # min_tuple.  The oracle splits the codes of each bucket's sign orbits.
     q, n, k = 3, 4, 2
     powers = _pack_powers(q, k, n)
-    codes = all_codes(q, n, k)
-    ids = np.array([int(_pack(np.array([c.rows]), powers)[0]) for c in codes])
-    buckets = {bytes([r]): ids[ids % 3 == r] for r in range(3)}
-    three = [rows for rows, _ in subtract_orbits(q, n, [c.rows for c in codes])[:3]]
-    buckets[b"three"] = np.sort(_pack(np.array(three), powers))
+    ids, weights = representatives(q, n, k)
+    order = np.argsort(ids)
+    ids, weights = ids[order], weights[order]
+
     def code_rows(ids):
         return [tuple(map(tuple, g)) for g in _unpack(np.asarray(ids), q, n, powers).tolist()]
 
-    want = {kb: subtract_orbits(q, n, code_rows(ids)) for kb, ids in buckets.items()}
-    buckets[b"one"] = ids[:1]
+    buckets = {bytes([r]): (ids[r::3], weights[r::3]) for r in range(3)}
+    three = sorted(sign_canonical(LinearCode(q, n, rows))[0] for rows, _ in subtract_orbits(q, n, [c.rows for c in all_codes(q, n, k)])[:3])
+    picked = np.searchsorted(ids, _pack(np.array(three), powers))
+    buckets[b"three"] = ids[picked], weights[picked]
+    assert len(ids) == 36 and weights.sum() == 130 and len(set(three)) == 3
+    want = {}
+    for kb, (bucket, _) in buckets.items():
+        members = [img for rows in code_rows(bucket) for img in sign_images(LinearCode(q, n, rows))]
+        want[kb] = subtract_orbits(q, n, members)
+    buckets[b"one"] = ids[:1], weights[:1]
     assert min(len(classes) for classes in want.values()) == 3
     # every class count is tried as min_tuple
     for min_tuple in sorted({2} | {len(classes) for classes in want.values()}):
@@ -146,9 +173,24 @@ def test_representative_outside_its_orbit_raises(monkeypatch):
         return np.sort(np.where(rows == _pack(reps, powers)[:, None], -1, rows), axis=1)
 
     monkeypatch.setattr(search, "_orbit_rows", drop_representative)
-    # a raised ArithmeticError, not an assert, so the check holds under python -O
-    with pytest.raises(ArithmeticError, match="representative must lie in its own orbit"):
-        run_search(2, 6, 3, family="all", verify=False)
+    # a raised ArithmeticError, not an assert, so the check holds under python
+    # -O; over GF(3) the buckets hold sign-orbit representatives
+    for q, n, k in ((2, 6, 3), (3, 4, 2)):
+        with pytest.raises(ArithmeticError, match="representative must lie in its own orbit"):
+            run_search(q, n, k, family="all", verify=False)
+
+
+def test_weights_that_miss_the_family_size_raise(monkeypatch):
+    partition_ids = search._partition_ids
+
+    def heavier(*args):
+        ids, weights = partition_ids(*args)
+        return ids, weights + (args[4] == 0)  # one more code in each pattern's first partition
+
+    monkeypatch.setattr(search, "_partition_ids", heavier)
+    # raised, not asserted, so the check holds under python -O
+    with pytest.raises(ArithmeticError, match="not to the family's 130 codes"):
+        run_search(3, 4, 2, family="all", verify=False)
 
 
 def test_collide_codes_positive_control():
@@ -185,16 +227,18 @@ def test_run_search_matches_brute_force_oracle():
 @pytest.mark.parametrize(
     "q, n, k, family, chunk, dtype, limit",
     [
-        # 130 codes in 11 partitions
+        # 36 representatives of 130 codes in 11 partitions
         pytest.param(3, 4, 2, "all", 20, np.uint8, None, id="3-4-2-all-20-uint8"),
-        # 6,561 codes in partitions of 2,500, 2,500 and 1,561
+        # 353 representatives of 6,561 codes in partitions of 117, 118 and 118
         pytest.param(3, 6, 2, "systematic", 2500, np.uint8, None, id="3-6-2-systematic-2500-uint8"),
-        # 343 codes of 343 words each: the oracle's counts need uint16
+        # 64 representatives of 343 words each: the oracle's counts need uint16
         pytest.param(7, 4, 3, "systematic", 100, np.uint16, None, id="7-4-3-systematic-100-uint16"),
-        # GF(2): one folded value, sigs 0..n
+        # GF(2): no signs, so every code is a representative; one folded
+        # value, sigs 0..n
         pytest.param(2, 6, 3, "all", 100, np.uint8, None, id="2-6-3-all-100-uint8"),
-        # sigs below 36 over a 125 x 125 term table; the first 3,000 of
-        # 15,625 codes, since the scalar oracle takes about 1 ms a code
+        # sigs below 36 over a 125 x 125 term table; representatives below
+        # 3,000, which are all 1,161 of the 15,625 codes, since the scalar
+        # oracles take about 2 ms a representative
         pytest.param(5, 5, 3, "systematic", 1100, np.uint8, 3000, id="5-5-3-systematic-1100-uint8-first3000"),
         # sigs below 4**5 = 1,024: the term table and the keys are uint16
         pytest.param(11, 3, 2, "systematic", 50, np.uint8, None, id="11-3-2-systematic-50-uint8"),
@@ -207,27 +251,33 @@ def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, li
     sig_dtype = search._sig_dtype(q, n)
     assert sig_dtype == (np.uint16 if q == 11 else np.uint8)
     powers = _pack_powers(q, k, n)
-    seen = []
+    seen, scanned, family_size = [], 0, 0
     for piv in search._patterns(n, k, family):
-        free = search._free_positions(n, k, piv)
-        total = min(q ** len(free), limit or np.inf)
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
+        # run_search's partitions of the pattern: ceil(codes / chunk) of
+        # them, the representatives dealt over them in order
+        codes = q ** len(search._free_positions(n, k, piv))
+        reps, parts = search._representatives(q, n, k, piv), -(-codes // chunk)
+        family_size += codes
+        for c in range(parts):
+            start, stop = c * reps // parts, min((c + 1) * reps // parts, limit or np.inf)
+            if start >= stop:
+                if limit is None:  # an empty partition still keys
+                    keys, labels = search._scan_partition(q, n, k, piv, start, stop)
+                    assert len(keys) == len(labels) == 0
+                continue
             keys, labels = search._scan_partition(q, n, k, piv, start, stop)
-            ids = search._partition_ids(q, n, k, piv, start, stop, powers)
-            # the generator rows of code numbers start..stop-1: pivots, then
-            # the base-q digits of the number over the free positions
-            gens = np.zeros((stop - start, k, n), dtype=np.int64)
-            gens[:, range(k), piv] = 1
-            number = np.arange(start, stop)
-            for fi, fj in reversed(free):
-                gens[:, fi, fj] = number % q
-                number //= q
-            assert np.array_equal(ids, _pack(gens, powers)) and np.all(ids[:-1] < ids[1:])
-            full = np.array([count_row(LinearCode(q, n, tuple(map(tuple, g))), dtype) for g in gens.tolist()])
+            ids, weights = search._partition_ids(q, n, k, piv, start, stop, powers)
+            gens = _unpack(ids, q, n, powers)
+            # each is a canonical code of the pattern and its own sign-orbit
+            # representative, weighing its sign orbit
+            members = [LinearCode(q, n, tuple(map(tuple, g))) for g in gens.tolist()]
+            assert all(code.rows == tuple(map(tuple, g)) for code, g in zip(members, gens.tolist()))
+            assert np.all(gens[:, range(k), piv] == 1)
+            assert [sign_canonical(code) for code in members] == [(code.rows, w) for code, w in zip(members, weights.tolist())]
+            full = np.array([count_row(code, dtype) for code in members])
             # two codes share a label exactly when their oracle rows are equal
             assert labels.dtype == search._label_dtype(len(keys)) and len(labels) == len(ids)
-            got = sorted(ids[labels == u].tolist() for u in range(len(keys)))
+            got = sorted(np.sort(ids[labels == u]).tolist() for u in range(len(keys)))
             assert got == sorted(group.tolist() for group in group_rows(full, ids).values())
             # keys are distinct, increasing and one word of each +-pair wide
             # (every nonzero word over GF(2)); each, with the zero word's 0
@@ -240,11 +290,31 @@ def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, li
             rows = [np.concatenate([[0], np.repeat(np.frombuffer(kb, sig_dtype), 1 if q == 2 else 2)]) for kb in spelled]
             assert [rows[u].astype(sig_dtype).tobytes() for u in labels] == [np.repeat(np.arange(bins), row).astype(sig_dtype).tobytes() for row in full]
             seen += ids.tolist()
-    if family == "all":
-        want_ids = [int(_pack(np.array([c.rows]), powers)[0]) for c in all_codes(q, n, k)]
-        assert sorted(seen) == sorted(want_ids)
-    else:
-        assert len(set(seen)) == len(seen) == min(q ** (k * (n - k)), limit or np.inf)
+            scanned += int(weights.sum())
+    # distinct representatives whose sign orbits hold every code once
+    assert len(set(seen)) == len(seen)
+    assert scanned == family_size == (len(all_codes(q, n, k)) if family == "all" else q ** (k * (n - k)))
+
+
+def test_support_tables_weigh_every_code_once():
+    # from the support tables alone, no code enumerated: over the support
+    # masks of every pivot pattern (the systematic one among them) the
+    # representative counts times their sign-orbit sizes sum to q**|free|,
+    # for every prime q < 30, n <= 8 and k whose ids fit the 64-bit pack
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for q in (q for q in range(2, 30) if _is_prime(q) and k * n * log2(q) <= 62):
+                for piv in search._patterns(n, k, "all"):
+                    free = len(search._free_positions(n, k, piv))
+                    if q == 2:  # no signs: every code is a representative
+                        assert search._representatives(q, n, k, piv) == 2**free
+                        continue
+                    forest, offsets = search._supports(q, n, k, piv)
+                    masks = np.arange(1 << free)
+                    assert len(forest) == len(masks) and not np.any(forest & ~masks)  # the forest lies in the support
+                    counts, weights = np.diff(offsets), np.left_shift(1, np.bitwise_count(forest), dtype=np.int64)
+                    assert counts.min() >= 1 and int(counts @ weights) == q**free, (q, n, k, piv)
+                    assert search._representatives(q, n, k, piv) == offsets[-1]
 
 
 def test_62_bit_sigs_bucket_like_the_scalar_distribution():
@@ -264,12 +334,16 @@ def test_62_bit_sigs_bucket_like_the_scalar_distribution():
     [(17, 3, 1, "all"), (7, 5, 2, "systematic"), (5, 6, 3, "systematic"), (11, 5, 2, "systematic"), (17, 4, 2, "systematic")],
 )
 def test_scan_partition_peaks_within_the_guard_estimate(q, n, k, family):
-    # the largest partition of each: 289 codes of 8 uint16 sigs, then 15,625
-    # codes of 24 and 62 uint8 sigs, of 60 uint16 sigs and of 144 uint32
-    # sigs; 1-byte sigs are sorted through the uint32 block
+    # the first min(5**6, all) representatives of the largest pivot pattern,
+    # more than any of its partitions holds: 81 codes of 8 uint16 sigs, then
+    # 7,984 codes of 24 uint8 sigs, 15,625 of 62 uint8 sigs and of 60 uint16
+    # sigs, and 10,657 of 144 uint32 sigs; 1-byte sigs are sorted through
+    # the uint32 block.  The cached term and support tables are rebuilt.
     piv = search._patterns(n, k, family)[0]
-    rows = min(5**6, q ** len(search._free_positions(n, k, piv)))
+    rows = min(5**6, search._representatives(q, n, k, piv))
     search._scan_partition(q, n, k, piv, 0, rows)  # numpy's first-call caches
+    search._term_table.cache_clear()
+    search._supports.cache_clear()
     tracemalloc.start()
     try:
         search._scan_partition(q, n, k, piv, 0, rows)
@@ -444,7 +518,7 @@ def _record(change):
     [
         # a single-object checkpoint of the format without a schema
         (lambda lines: [json.dumps({"params": json.loads(lines[0])["params"], "partitions": {}})], "schema"),
-        (lambda lines: [lines[0].replace('"schema": 5', '"schema": 6')] + lines[1:], "schema"),
+        (lambda lines: [lines[0].replace(f'"schema": {search.CHECKPOINT_SCHEMA}', f'"schema": {search.CHECKPOINT_SCHEMA + 1}')] + lines[1:], "schema"),
         # both are caught before the record's keys and labels are decoded
         (lambda lines: lines + [json.dumps(["0:99", ["not hex"], "not hex"])], "does not have"),
         (lambda lines: lines + [json.dumps([json.loads(lines[-1])[0], ["not hex"], "not hex"])], "twice"),
@@ -492,11 +566,13 @@ def test_checkpoint_schema_and_records_are_checked(tmp_path, capsys, edit, probl
 
 
 def test_schema_2_checkpoint_is_refused(tmp_path, capsys):
-    # checkpoints of the three previous formats: schema 2 held bucket keys
+    # checkpoints of the four previous formats: schema 2 held bucket keys
     # over all bins, each with its packed code ids, schema 3 count rows over
-    # the reachable bins and one label per code, and schema 4 keys of all
-    # q**k sorted sigs and one label per code; each record below is the
-    # first partition of (3, 4, 2, all)
+    # the reachable bins and one label per code, schema 4 keys of all q**k
+    # sorted sigs and one label per code, and schema 5 keys of one word of
+    # each +-pair and one label per code, where schema 6 has one per
+    # sign-orbit representative; each record below is the first partition
+    # of (3, 4, 2, all)
     path = tmp_path / "scan.json.gz"
     params = {"q": 3, "n": 4, "k": 2, "family": "all", "chunk": 5**6}
     count_rows = ["0100000800", "0100020402", "0100040004", "0100060200", "0102000204", "0102020400", "0104040000"]
@@ -506,12 +582,15 @@ def test_schema_2_checkpoint_is_refused(tmp_path, capsys):
     sig_rows += ["000202020204040404", "000202030303030404", "000303030303030303"]
     sig_labels = "000101010202010202010303040505040505010303040505040505010404030505030505020505050506050605"
     sig_labels += "020505050605050506010404030505030505020505050605050506020505050506050605"
-    for schema, record in ((2, ["0:0", {"0100000000": [1, 2]}]), (3, ["0:0", count_rows, labels]), (4, ["0:0", sig_rows, sig_labels])):
+    half_rows = ["01010202", "01020303", "01030404", "02020203", "02020404", "02030304", "03030303"]
+    records = {2: ["0:0", {"0100000000": [1, 2]}], 3: ["0:0", count_rows, labels], 4: ["0:0", sig_rows, sig_labels], 5: ["0:0", half_rows, sig_labels]}
+    assert search.CHECKPOINT_SCHEMA == 6
+    for schema, record in records.items():
         header = search._checkpoint_member({"schema": schema, "params": params})
         path.write_bytes(header + search._checkpoint_member(record))
         assert _codesearch(tmp_path, path) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "schema" in err and "5" in err and "Traceback" not in err
+        assert err.startswith("error:") and "schema" in err and "6" in err and "Traceback" not in err
 
 
 def test_checkpoint_of_7_5_2_is_small_and_reproducible(tmp_path):
@@ -547,17 +626,17 @@ PINNED_OUTPUTS = {
     ("7", "5", "2", "systematic"): (
         "36d036e5bd0870be2eb76a70e0efb84ae721159281c0c60650f9be8d116916fe",
         "2117bbac4b47dce4b266d8d6a2899d7e7370124407230e11bef2d2a793fae851",
-        "41f77e414698f09c8e02b952a84493fd5ef1abf342bd81086c5067a4e6e4e7bd",
+        "56ce49fecf4b4f03f52964bc7c855e3ffbd850483d82d67c769bb1064848b8d5",
     ),
     ("3", "5", "2", "all"): (
         "5017e995d1f757d577a15d9199b94baab435920d5d89a0d4e5674cdd9e1cc3f3",
         "1faccc5b430f8236a9c4b47ac5e5cb2e964272533a5dd4e52721b95dc783a306",
-        "212e51422fcef47df10a3914cd2c1b063ade8aadb89975a6d05c63880d9bcc9c",
+        "9da7f24f925bf717884777448c4f912ca057d5b54219f627106f612c07870bf9",
     ),
     ("11", "4", "2", "systematic"): (
         "2f93e372bfdd5da2fd695f7d9411f9373a0ab28c3af1df39b706db8dcdf39c6c",
         "9fee04487279d31c35b662e4d5dc4591cf93523e3619fefe0d44d1a4085fcdea",
-        "b9282b58d5c89225235b0abf75fa38240cafef0e40f98c84547860055a8eee99",
+        "2280feb94fad85e78af01fa9f5596acd05dfd5937702f512449332fb3ab76b90",
     ),
 }
 
@@ -596,6 +675,32 @@ def test_resumed_search_is_byte_identical(tmp_path):
                 run_search(3, 4, 2, checkpoint_path=path, jobs=jobs, progress=stop, **kwargs)
             assert run_search(3, 4, 2, checkpoint_path=path, jobs=jobs, **kwargs) == want
             assert path.read_bytes() == full.read_bytes()
+
+
+def test_empty_partitions_keep_their_records(tmp_path):
+    # partitions of 3 codes: pattern (0, 1) of (3, 4, 2) keeps its 27
+    # partitions for 17 representatives and (0, 2) its 9 for 8, so 10 and 1
+    # of them are empty, and each still has its record, its progress call
+    # and its place in a resume
+    kwargs = dict(family="all", min_tuple=2, verify=False, chunk_size=3)
+    full, totals = tmp_path / "full.json.gz", []
+    want = run_search(3, 4, 2, checkpoint_path=full, progress=lambda done, total: totals.append(total), **kwargs)
+    assert totals == [44] * 44
+    records = [json.loads(line) for line in gzip.decompress(full.read_bytes()).decode().splitlines()[1:]]
+    assert [key for key, _, _ in records] == [f"{p}:{c}" for p, parts in enumerate((27, 9, 3, 3, 1, 1)) for c in range(parts)]
+    assert sum(keys == [] and labels == "" for _, keys, labels in records) == 11
+    assert want == run_search(3, 4, 2, family="all", min_tuple=2, verify=False)
+    for cut in (1, 2, 3):  # partition 0:0 is empty, 0:1 is not, 0:2 is empty
+        path = tmp_path / f"cut{cut}.json.gz"
+
+        def stop(done, total, cut=cut):
+            if done == cut:
+                raise Stop
+
+        with pytest.raises(Stop):
+            run_search(3, 4, 2, checkpoint_path=path, progress=stop, **kwargs)
+        assert run_search(3, 4, 2, checkpoint_path=path, jobs=2, **kwargs) == want
+        assert path.read_bytes() == full.read_bytes()
 
 
 def test_progress_exception_stops_a_parallel_scan(tmp_path, monkeypatch):
