@@ -93,22 +93,26 @@ class RepSpectrum:
 
     The grid step is the gcd of the diagonal and doubled off-diagonal
     entries (of the denominator-cleared form), divided back by that
-    scaling, so every representable value lies on the grid and zero
-    counts are reported rather than skipped.
+    scaling, so every representable value lies on the grid.  counts[k]
+    is the count at k * step, zero counts included, for every grid value
+    up to bound.
     """
 
     bound: Fraction | int
     step: Fraction | int
-    entries: tuple[tuple[Fraction | int, int], ...]
+    counts: tuple[int, ...]
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction | int, int], ...]:
+        """(value, count) for every grid value up to bound."""
+        return tuple((_normalize(k * self.step), c) for k, c in enumerate(self.counts))
 
     def count_at(self, value) -> int:
         value = Fraction(value)
         if value < 0 or value > self.bound:
             raise ValueError(f"value {value} outside enumerated range")
-        for t, c in self.entries:
-            if t == value:
-                return c
-        return 0
+        k, off_grid = divmod(value, self.step)
+        return 0 if off_grid else self.counts[k]
 
 
 _WALK_BUDGET = 2_000_000  # points one walk may try at coordinate 0
@@ -301,9 +305,7 @@ def rep_spectrum(q: GramForm, bound) -> RepSpectrum:
     counts = [0] * (cap // (grid or 1) + 1)  # grid is 0 only for the empty form, which _walk refuses
     _walk(q, bound, counts, grid=grid)
     counts[0] = 1  # the zero vector
-    step = _normalize(Fraction(grid, s))
-    entries = tuple((_normalize(k * step), c) for k, c in enumerate(counts))
-    return RepSpectrum(bound=_normalize(bound), step=step, entries=entries)
+    return RepSpectrum(bound=_normalize(bound), step=_normalize(Fraction(grid, s)), counts=tuple(counts))
 
 
 def _ambient_candidates(l: Lattice, pick: Callable):

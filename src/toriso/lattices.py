@@ -79,26 +79,6 @@ class GramForm:
         return self.matrix.rows
 
 
-def _scaled_form(q: GramForm, c: int) -> GramForm:
-    """c * q, for c a positive multiple of q's denominator scale s, with
-    the gate's elimination and the LLL reduction derived from q's: for
-    t = c / s, row i of u scales by t**(i + 1) and minors[i] by t**i, the
-    scale becomes 1, and h stays, as the LLL's rounding of mu and its
-    Lovasz test do not depend on t."""
-    t, rest = divmod(c, q._elimination[2])
-    if c < 1 or rest:
-        raise ValueError(f"scale {c} is not a positive multiple of {q._elimination[2]}")
-
-    def scaled(u, minors, s):
-        return [[t ** (i + 1) * x for x in row] for i, row in enumerate(u)], [t**i * d for i, d in enumerate(minors)], 1
-
-    form = object.__new__(GramForm)
-    object.__setattr__(form, "matrix", q.matrix.scaled(c))
-    object.__setattr__(form, "_elimination", scaled(*q._elimination))
-    form.__dict__["_reduction"] = q._reduction[0], scaled(*q._reduction[1])  # where cached_property keeps it
-    return form
-
-
 def _reduced_gram(q: GramForm) -> tuple[Mat, Mat]:
     """q's LLL change of basis h as a Mat, the identity when _reduction
     finds none, and the reduced Gram matrix h^T q h."""
@@ -133,16 +113,21 @@ def is_even(q: GramForm) -> bool:
 
 
 def level(q: GramForm) -> int:
-    """Least N > 0 such that N * q^{-1} is integral with even diagonal.
+    """Least N > 0 such that N * q^{-1} is integral with even diagonal."""
+    return _level(q.matrix)
+
+
+def _level(m: Mat) -> int:
+    """level of the form with Gram matrix m, which need not be built.
 
     Computed exactly: N must be a multiple of the lcm d of the entry
-    denominators of q^{-1}, and d itself works unless some scaled diagonal
+    denominators of m^{-1}, and d itself works unless some scaled diagonal
     entry stays odd, in which case 2d is forced.
     """
-    if not q.matrix.is_integral():
+    if not m.is_integral():
         raise ShapeError("level requires an integral form")
-    rows, d = _integer_rows(q.matrix.inverse())
-    return d if all(rows[i][i] % 2 == 0 for i in range(q.dimension)) else 2 * d
+    rows, d = _integer_rows(m.inverse())
+    return d if all(rows[i][i] % 2 == 0 for i in range(m.rows)) else 2 * d
 
 
 def _block_diag(a: Mat, b: Mat) -> Mat:

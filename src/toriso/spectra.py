@@ -14,19 +14,22 @@ scale, a doubling, and a direct sum with themselves, none of which
 changes the verdict (theta of q + q is theta(q)^2, and a square root of
 a q-series with constant term 1 is unique).
 
-The direct sum is never formed.  q + q has the value grid of q and the
-level of q (its inverse is block-diagonal), and its theta coefficients
-are the self-convolution of q's own counts,
+Neither the scaled form nor the direct sum is formed.  c * q, for the
+scale c of the first two steps, has q's counts on a grid c times q's, an
+integer grid as c * q is integral: each form is walked as given, and
+only its level is taken from the scaled matrix.  q + q has the value
+grid of q and the level of q (its inverse is block-diagonal), and its
+theta coefficients are the self-convolution of q's own counts,
 
     r_{q+q}(k * step) = sum_{i + j = k} r_q(i * step) * r_q(j * step),
 
 so an odd-dimensional comparison enumerates the n-dimensional ball up to
 the cutoff of dimension 2n and squares the counts as one packed integer
 (Kronecker substitution), checked against the raw counts at their first
-difference; the certificate records the same levels, cutoff and table as the 2n-
-dimensional enumeration would.  Each form is enumerated once, up to the
-larger of that cutoff and the raw pre-scan's bound, and the pre-scan
-reads its prefix.
+difference; the certificate records the same levels, cutoff and table as
+the 2n-dimensional enumeration would.  Each form is enumerated once, up
+to the larger of that cutoff and the raw pre-scan's bound (over c), and
+the pre-scan reads its prefix.
 
 When the levels of the two forms disagree the cutoff does not apply; the
 verdict is then Inconclusive unless a bounded scan already exhibits a
@@ -38,9 +41,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .enumeration import rep_spectrum
-from .lattices import GramForm, _form_det, _scaled_form, is_even, level
+from .lattices import GramForm, _form_det, _level, is_even, level
 from .linalg import DimensionError, ShapeError, _denominator_scale, _normalize
 
 
@@ -107,38 +111,46 @@ def _threshold(lev: int, dimension: int):
 _SQUARE_BUDGET = 1 << 24  # bits of packed counts; squaring this many takes about 8 s
 
 
-def _squared_counts(entries) -> dict:
+def _squared_counts(r) -> list[int]:
     """Representation counts of q + q from those of q, on q's grid.
 
-    entries are (value, count) pairs holding the value i * step at index
-    i, zero counts included, so the direct sum's count at index k is a
-    convolution: the low slots of the square of the counts packed into one
-    int, each slot wider than len * max^2 (Kronecker substitution).
-    Raises ValueError past _SQUARE_BUDGET packed bits."""
-    values, r = zip(*entries) if entries else ((), ())
+    r holds q's count at i * step at index i, zero counts included, so
+    the direct sum's count at index k is a convolution: the low slots of
+    the square of the counts packed into one int, each slot wider than
+    len * max^2 (Kronecker substitution).  Raises ValueError past
+    _SQUARE_BUDGET packed bits."""
     width = ((2 * max(r, default=0) ** 2 * len(r)).bit_length() + 8) // 8  # bytes, at least bits + 1
     if 8 * width * len(r) > _SQUARE_BUDGET:
         raise ValueError(f"squaring budget exceeded: {len(r)} counts of {8 * width} bits, over {_SQUARE_BUDGET} bits")
     packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in r), "little")
     square = (packed * packed).to_bytes(2 * width * len(r), "little")
-    return {t: int.from_bytes(square[k * width : (k + 1) * width], "little") for k, t in enumerate(values)}
+    return [int.from_bytes(square[k * width : (k + 1) * width], "little") for k in range(len(r))]
 
 
-def _spectra_differ(pair, cap, squared=False):
+def _rows(cap: int, pair):
+    """(value, count in a, count in b) for each value up to cap on either
+    grid of pair, ((step_a, counts_a), (step_b, counts_b)), walking the
+    grid of the gcd of the two integer steps."""
+    (ga, ra), (gb, rb) = pair
+    for v in range(0, cap + 1, gcd(ga, gb)):
+        ka, off_a = divmod(v, ga)
+        kb, off_b = divmod(v, gb)
+        if not (off_a and off_b):
+            yield v, 0 if off_a else ra[ka], 0 if off_b else rb[kb]
+
+
+def _spectra_differ(pair, cap: int, squared=False):
     """Smallest value up to cap where the representation counts of the
     two spectra differ, plus the full merged comparison table; squared
-    compares the counts of a + a and b + b instead.  Both spectra must
-    reach cap; larger values are left out.  Both count the zero vector
-    once, so squares must first differ where the raw counts do, by twice
-    as much."""
-    ta, tb = ({t: c for t, c in sp.entries if t <= cap} for sp in pair)
-    sa, sb = (_squared_counts(list(ta.items())), _squared_counts(list(tb.items()))) if squared else (ta, tb)
-    table = tuple((t, sa.get(t, 0), sb.get(t, 0)) for t in sorted(sa.keys() | sb.keys()))
-    first = next((t for t, ra, rb in table if ra != rb), None)
-    if squared:
-        raw = min((t for t in ta.keys() | tb.keys() if ta.get(t, 0) != tb.get(t, 0)), default=None)
-        if first != raw or (raw is not None and sa.get(raw, 0) - sb.get(raw, 0) != 2 * (ta.get(raw, 0) - tb.get(raw, 0))):
-            raise ArithmeticError("squared counts disagree with the raw counts at their first difference")
+    compares the counts of a + a and b + b instead.  pair holds each
+    spectrum as (step, counts) on an integer grid reaching cap; larger
+    values are left out.  Both count the zero vector once, so squares
+    must first differ where the raw counts do, by twice as much."""
+    raw = [(g, r[: cap // g + 1]) for g, r in pair]
+    table = tuple(_rows(cap, [(g, _squared_counts(r)) for g, r in raw] if squared else raw))
+    first, diff = next(((t, x - y) for t, x, y in table if x != y), (None, 0))
+    if squared and (first, diff) != next(((t, 2 * (x - y)) for t, x, y in _rows(cap, raw) if x != y), (None, 0)):
+        raise ArithmeticError("squared counts disagree with the raw counts at their first difference")
     return first, table
 
 
@@ -179,12 +191,10 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
     if doubled:
         notes.append("doubled both forms to reach even entries")
     c = 2 * s if doubled else s
-    # c is a multiple of each form's own scale: its gate and LLL data carry over
-    qa, qb = (a, b) if c == 1 else (_scaled_form(a, c), _scaled_form(b, c))
 
     # no certificate of the raw pre-scan carries the levels, so they can
     # come first and fix the one enumeration bound each form needs
-    lev_a, lev_b = level(qa), level(qb)
+    lev_a, lev_b = _level(a.matrix.scaled(c)), _level(b.matrix.scaled(c))
     threshold = None
     cap = fallback_scan_cap
     if lev_a == lev_b:
@@ -195,29 +205,25 @@ def certify(a: GramForm, b: GramForm, *, max_compare_t=None, fallback_scan_cap: 
     if cap < 0:
         raise ValueError("comparison bound must be nonnegative")
     pre_cap = fallback_scan_cap if dim % 2 else cap
-    # each form is enumerated once; the raw pre-scan reads a prefix
-    pair = rep_spectrum(qa, max(cap, pre_cap)), rep_spectrum(qb, max(cap, pre_cap))
+    # each form is walked once, as given: c * q has q's counts on c times q's grid
+    bound = Fraction(max(cap, pre_cap), c)
+    pair = [(int(c * sp.step), sp.counts) for sp in (rep_spectrum(a, bound), rep_spectrum(b, bound))]
 
     if dim % 2 != 0:
         first, table = _spectra_differ(pair, pre_cap)
         if first is not None:
             notes.append("raw spectra differ before the direct-sum step")
             return finish(Verdict.NOT_ISOSPECTRAL, compared=pre_cap, first=first, table=table)
-        # qa + qa is never built; _spectra_differ squares qa's counts
+        # a + a is never built; _spectra_differ squares a's counts
         summed = True
         notes.append("direct-summed each form with itself to reach even dimension")
 
+    first, table = _spectra_differ(pair, cap, summed)
+    verdict = Verdict.INCONCLUSIVE if first is None else Verdict.NOT_ISOSPECTRAL
     if lev_a != lev_b:
         notes.append(f"levels differ ({lev_a} vs {lev_b}); no shared cutoff")
-        first, table = _spectra_differ(pair, cap, summed)
-        if first is not None:
-            return finish(Verdict.NOT_ISOSPECTRAL, levels=(lev_a, lev_b), compared=cap, first=first, table=table)
-        return finish(Verdict.INCONCLUSIVE, levels=(lev_a, lev_b), compared=cap, table=table)
-
-    first, table = _spectra_differ(pair, cap, summed)
-    if first is not None:
-        return finish(Verdict.NOT_ISOSPECTRAL, levels=(lev_a, lev_b), threshold=threshold, compared=_normalize(cap), first=first, table=table)
-    if cap < Fraction(threshold) // 1:
+    elif first is None and cap < Fraction(threshold) // 1:
         notes.append("agreement verified only below the cutoff")
-        return finish(Verdict.INCONCLUSIVE, levels=(lev_a, lev_b), threshold=threshold, compared=_normalize(cap), table=table)
-    return finish(Verdict.ISOSPECTRAL, levels=(lev_a, lev_b), threshold=threshold, compared=_normalize(cap), table=table)
+    elif first is None:
+        verdict = Verdict.ISOSPECTRAL
+    return finish(verdict, levels=(lev_a, lev_b), threshold=threshold, compared=cap, first=first, table=table)

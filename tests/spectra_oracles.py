@@ -20,11 +20,10 @@ from toriso.linalg import _denominator_scale, _normalize, det
 from toriso.spectra import IsoCertificate, Verdict, hecke_threshold
 
 
-def loop_squared_counts(entries):
+def loop_squared_counts(r):
     """_squared_counts by the quadratic loop: the count at index k is the
     sum of r_i * r_(k-i)."""
-    r = [c for _, c in entries]
-    return {t: sum(map(mul, r[: k + 1], reversed(r[: k + 1]))) for k, (t, _) in enumerate(entries)}
+    return [sum(map(mul, r[: k + 1], reversed(r[: k + 1]))) for k in range(len(r))]
 
 
 def form_direct_sum(a, b):

@@ -207,8 +207,8 @@ def test_walk_checks_each_norm_against_the_elimination_product(walk):
 
 def test_rep_spectrum_counts_on_the_value_grid():
     # 10**4 grid values up to 10**10: a count per integer up to the bound
-    # would be 10**10 slots.  The 10,001 returned entries alone hold about
-    # 0.96 MB, so the bound is on what the call holds beyond them.
+    # would be 10**10 slots.  The bound is on what the call holds beyond
+    # the spectrum it returns.
     q = GramForm(Mat.identity(2).scaled(10**6))
     tracemalloc.start()
     try:
@@ -220,6 +220,20 @@ def test_rep_spectrum_counts_on_the_value_grid():
     assert spec.entries == tuple((10**6 * t, c) for t, c in unit.entries)
     assert (spec.step, spec.bound) == (10**6, 10**10)
     assert peak - kept < 10**6
+
+
+def test_a_spectrum_holds_only_its_counts():
+    # the 10,001 counts take about 80 KB as a tuple; keeping each grid value
+    # beside its count, as a 2-tuple, took 0.96 MB
+    q = GramForm(Mat.identity(2).scaled(10**6))
+    tracemalloc.start()
+    try:
+        spec = rep_spectrum(q, 10**10)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(spec.entries) == 10_001
+    assert kept < 300_000
 
 
 def test_shortest_vectors_square_lattice():
@@ -326,7 +340,7 @@ def test_certify_and_search_read_det_from_the_gate(monkeypatch):
     # nor the search eliminates a form beyond its GramForm gate (the search
     # is given its eigenvalue bound, whose bisection eliminates, and makes
     # the one elimination of q1 - lambda I that tests that bound), and
-    # certify derives its doubled forms' gate data from the forms' own
+    # certify walks the forms it is given, building no doubled form
     q1, q2 = triplet.gram_form(1), triplet.gram_form(2)
     dets = (det(q1.matrix), det(q2.matrix))
     calls = dict.fromkeys(("_positive_definite_data", "fraction_free_upper", "det"), 0)

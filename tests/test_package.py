@@ -34,6 +34,19 @@ def test_no_assert_statements_in_src():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+def test_no_object_new_in_src():
+    # object.__new__ skips __post_init__, so a GramForm built that way
+    # would skip its positive-definiteness gate
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__new__" and isinstance(node.value, ast.Name) and node.value.id == "object"
+        ]
+        assert not lines, f"{path.name} calls object.__new__ at lines {lines}"
+
+
 def test_no_floats_in_src():
     # exact arithmetic only: no float literal, no float(), no math.sqrt,
     # math.log or math.exp, whether called through math or imported

@@ -44,7 +44,7 @@ from toriso import spectra
 from toriso.codes import LinearCode, canonical_monomial_form, weight_distribution
 from toriso.enumeration import _canonical_sign, _shells, enumerate_up_to, independent_ladder, rep_spectrum, shortest_vectors
 from toriso.decomposition import decompose
-from toriso.lattices import GramForm, Lattice, _reduced_gram, _scaled_form
+from toriso.lattices import GramForm, Lattice, _reduced_gram
 from toriso.linalg import (
     DimensionError,
     LinalgError,
@@ -52,7 +52,6 @@ from toriso.linalg import (
     RankError,
     det,
     eigenvalue_lower_bound,
-    _lll,
     fraction_free_upper,
     hnf,
     lattices_equal,
@@ -104,8 +103,9 @@ def unimodular(draw, n):
 @SETTINGS
 @given(forms(), st.integers(0, 40))
 def test_squared_spectrum_is_the_direct_sum_spectrum(q, cap):
-    squared = spectra._squared_counts(rep_spectrum(q, cap).entries)
-    assert squared == dict(rep_spectrum(form_direct_sum(q, q), cap).entries)
+    spec, summed = rep_spectrum(q, cap), rep_spectrum(form_direct_sum(q, q), cap)
+    assert summed.step == spec.step
+    assert spectra._squared_counts(spec.counts) == list(summed.counts)
 
 
 @SETTINGS
@@ -114,8 +114,7 @@ def test_squared_spectrum_is_the_direct_sum_spectrum(q, cap):
 @example([0, 0, 0], 0)
 def test_packed_squaring_is_the_convolution_loop(counts, big):
     # one huge count widens every slot of the packed integer
-    entries = [(Fraction(k, 3), c) for k, c in enumerate(counts + [big])]
-    assert spectra._squared_counts(entries) == loop_squared_counts(entries)
+    assert spectra._squared_counts(counts + [big]) == loop_squared_counts(counts + [big])
 
 
 @SETTINGS
@@ -422,22 +421,37 @@ def test_reduced_walk_of_a_skewed_conjugate_is_the_box_oracle(q, data):
 
 
 @SETTINGS
-@given(st.one_of(forms(max_dim=5).map(lambda f: f.matrix), rational_forms(max_dim=5)), st.integers(1, 4), st.data())
-def test_scaled_form_carries_the_elimination_and_reduction_over(q, t, data):
-    # certify scales each form by a multiple of its own denominator scale;
-    # the derived data must be what eliminating and reducing the scaled
-    # rows gives.  A skewed conjugate makes the LLL do some work
+@given(st.one_of(forms(max_dim=5).map(lambda f: f.matrix), rational_forms(max_dim=5)), st.integers(1, 4), st.integers(0, 24), st.data())
+def test_a_scaled_form_has_the_counts_on_a_scaled_grid(q, t, bound, data):
+    # certify walks each form as given and reads the counts of c * q, for
+    # c a multiple of the form's denominator scale, off them.  A skewed
+    # conjugate makes the LLL do some work
     u = data.draw(skewing(q.rows))
     form = GramForm(u.transpose() @ q @ u)
     c = t * form._elimination[2]
-    scaled = _scaled_form(form, c)
-    assert scaled.matrix == form.matrix.scaled(c)
-    rows, d = fraction_free_upper([[int(x) for x in scaled.matrix.row(i)] for i in range(q.rows)])
-    assert scaled._elimination == (rows, d, 1)
-    h, reduced_rows, reduced_d = _lll(rows, d)
-    assert scaled._reduction == (h, (reduced_rows, reduced_d, 1))
-    with pytest.raises(ValueError):
-        _scaled_form(form, c + 1 if form._elimination[2] > 1 else 0)
+    walked, scaled = rep_spectrum(form, Fraction(bound, c)), rep_spectrum(GramForm(form.matrix.scaled(c)), bound)
+    assert walked.counts == scaled.counts
+    assert scaled.step == c * walked.step
+
+
+@SETTINGS
+@given(rational_forms(), st.sampled_from((1, 2, 7)), st.integers(0, 16), st.data())
+def test_count_at_reads_the_entries(q, shrink, t, data):
+    # the bound keeps the box half-widths within 4, as for the box oracle
+    q = q.scaled(Fraction(1, shrink))
+    bound = t / max(q.inverse().at(i, i) for i in range(q.rows))
+    spec = rep_spectrum(GramForm(q), bound)
+    assume(isinstance(spec.step, Fraction))
+    table = dict(spec.entries)
+    # every grid value, a point halfway to the next, and drawn values whose
+    # denominator is the step's, twice it, 7 or 1
+    den = data.draw(st.sampled_from((spec.step.denominator, 2 * spec.step.denominator, 7, 1)))
+    drawn = data.draw(st.lists(st.integers(0, int(bound * den)).map(lambda k: Fraction(k, den)), max_size=20))
+    for v in [*table, *(v + spec.step / 2 for v in table if v + spec.step / 2 <= bound), *drawn]:
+        assert spec.count_at(v) == table.get(v, 0)
+    for v in (-spec.step, Fraction(-1, den), bound + spec.step, bound + Fraction(1, den)):
+        with pytest.raises(ValueError, match="outside enumerated range"):
+            spec.count_at(v)
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ import pytest
 
 from spectra_oracles import direct_sum_certify
 from toriso.codes import LinearCode, lift
+from toriso.enumeration import rep_spectrum
 from toriso.formats import certificate_text
 from toriso.lattices import GramForm, double_form, gram
 from toriso.linalg import DimensionError, Mat, ShapeError
@@ -45,11 +46,11 @@ def test_threshold_is_the_cutoff_not_the_table_size():
 def test_certify_computes_each_level_once(monkeypatch):
     # each level costs a Fraction inverse; the threshold reuses the first
     calls = []
-    level = spectra.level
-    monkeypatch.setattr(spectra, "level", lambda q: calls.append(q) or level(q))
+    level = spectra._level
+    monkeypatch.setattr(spectra, "_level", lambda m: calls.append(m) or level(m))
     cert = certify(double_form(triplet.gram_form(1)), double_form(triplet.gram_form(2)))
     assert len(calls) == 2
-    assert cert.threshold == hecke_threshold(calls[0]) == 92
+    assert cert.threshold == hecke_threshold(GramForm(calls[0])) == 92
 
 
 def test_threshold_input_validation():
@@ -83,8 +84,6 @@ def test_certify_doubles_odd_forms():
 
 def test_certify_spot_check_window_beyond_cutoff():
     # extra evidence only: agreement persists past the certified range
-    from toriso.enumeration import rep_spectrum
-
     q1 = double_form(triplet.gram_form(1))
     q2 = double_form(triplet.gram_form(2))
     hi = triplet.DOUBLED_THRESHOLD + 20
@@ -256,14 +255,14 @@ def test_odd_certify_stays_in_the_input_dimension(monkeypatch):
     # q + q is never formed: every enumeration and level is n-dimensional,
     # and each form is enumerated once, the raw pre-scan reading a prefix
     calls = []
-    for name in ("rep_spectrum", "level"):
+    for name, size in (("rep_spectrum", lambda q: q.dimension), ("_level", lambda m: m.rows)):
         real = getattr(spectra, name)
-        monkeypatch.setattr(spectra, name, lambda q, *rest, real=real, name=name: calls.append((name, q.dimension)) or real(q, *rest))
+        monkeypatch.setattr(spectra, name, lambda q, *rest, real=real, name=name, size=size: calls.append((name, size(q))) or real(q, *rest))
     for a, b in [(CODE_5, CODE_5_IMAGE), (triplet.code(1), triplet.code(2))]:
         calls.clear()
         cert = certify(gram(lift(a)), gram(lift(b)))
         assert cert.verdict is Verdict.ISOSPECTRAL
-        assert sorted(calls) == [("level", a.length)] * 2 + [("rep_spectrum", a.length)] * 2
+        assert sorted(calls) == [("_level", a.length)] * 2 + [("rep_spectrum", a.length)] * 2
     assert cert.threshold == triplet.DOUBLED_THRESHOLD and not cert.summed
 
 
@@ -272,15 +271,17 @@ def test_squares_that_miss_the_raw_difference_raise(monkeypatch, case):
     # the first square gains 2 at value 4: for the isospectral pair the
     # squares then differ where the raw counts agree, and for the other
     # they differ at the raw difference (4 against 6) by 2, not by twice
-    # it; either way certify raises instead of giving a verdict
+    # it; either way certify raises instead of giving a verdict.  Value 4
+    # is index 4 // step on the first form's grid, in the doubled units
     a, b, kwargs = ODD_PAIRS[case].values[:3]
+    step = rep_spectrum(GramForm(a.matrix.scaled(2)), 0).step
     real, calls = spectra._squared_counts, []
 
-    def corrupted(entries):
-        out = real(entries)
-        calls.append(len(entries))
+    def corrupted(counts):
+        out = real(counts)
+        calls.append(len(counts))
         if len(calls) == 1:
-            out[4] += 2
+            out[4 // step] += 2
         return out
 
     monkeypatch.setattr(spectra, "_squared_counts", corrupted)
