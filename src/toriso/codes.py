@@ -19,9 +19,20 @@ re-check of the scan's inequivalence verdict, so it must not share code
 with the scan.  It row-reduces one image per column permutation P: with
 R the canonical rows of G P, pivot columns p(i) and signs s_j = +-1, the
 rows s_p(i) * s_j * R[i][j] mod q of the signed image are echelon with
-the same positive pivots, and only their entries above each pivot need
-reducing back into [0, pivot), pivots in increasing column order (over a
-field they are 0 already).  _canonical_data keeps a prime-modulus branch
+the same positive pivots.  When every pivot is 1, as over a field, the
+entries above the pivots are 0, the signed rows are canonical as they
+stand, and only the least of them is built.  Read R's entries in
+row-major order.  The signs that keep the entries read so far are
+constant on the components of the graph on the columns that joins each
+such nonzero entry's column to its row's pivot column; an entry x with
+x + x = q keeps its value under every sign and joins nothing.  An entry
+that joins two components can be turned to the smaller of x and q - x by
+flipping its column's component, which changes no entry read before it,
+and every other entry is fixed by those before it.  With a pivot other
+than 1 (composite moduli only) the entries above it need reducing back
+into [0, pivot) once the signs are applied, which the greedy rule does
+not see, so every sign pattern's image is built and reduced, pivots in
+increasing column order.  _canonical_data keeps a prime-modulus branch
 (_rref_mod_prime) next to the general Hermite-form branch: the modulus
 selects the branch, both give the same rows where both apply, and the
 field branch takes about two thirds of the Hermite branch's time on the
@@ -181,11 +192,44 @@ def lift(code: LinearCode) -> Lattice:
     return Lattice(basis)
 
 
+def _sign_least_rows(q: int, rows, pivots) -> tuple[tuple[int, ...], ...]:
+    """The least image of canonical rows with unit pivots under the
+    column signs (module docstring): each row's sign is its pivot
+    column's, and its entries are read in row-major order, an entry with
+    x + x != q joining the components of its pivot column and its column
+    and, when it joins two, flipping its column's component first if that
+    makes the entry smaller."""
+    n = len(rows[0])
+    comp = list(range(n))  # each column's component
+    flip = [False] * n  # each column's sign, True for -1
+    image = []
+    for r, p in zip(rows, pivots):
+        out = list(r)
+        for j in range(p + 1, n):
+            x = r[j]
+            if not x or 2 * x % q == 0:
+                continue
+            if flip[p] != flip[j]:
+                x = q - x
+            if comp[p] != comp[j]:
+                old, turn = comp[j], x > q - x
+                for v in range(n):
+                    if comp[v] == old:
+                        comp[v] = comp[p]
+                        flip[v] ^= turn
+                if turn:
+                    x = q - x
+            out[j] = x
+        image.append(tuple(out))
+    return tuple(image)
+
+
 def canonical_monomial_form(code: LinearCode) -> LinearCode:
     """Least canonical representative of the code's orbit under signed
     coordinate permutations; two codes are monomially equivalent exactly
-    when these forms coincide.  One reduction per column permutation; the
-    sign patterns are applied in closed form (module docstring)."""
+    when these forms coincide.  One reduction per column permutation,
+    then one sign-least image when its pivots are units, or every sign
+    pattern's image when they are not (module docstring)."""
     q, n = code.modulus, code.length
     if n > 8:
         raise CodeError("monomial orbit restricted to length <= 8")
@@ -196,6 +240,9 @@ def canonical_monomial_form(code: LinearCode) -> LinearCode:
         for perm in itertools.permutations(range(n)):
             rows, _ = _canonical_data(q, n, tuple(tuple(r[j] for j in perm) for r in code.rows))
             pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+            if all(r[p] == 1 for r, p in zip(rows, pivots)):
+                yield _sign_least_rows(q, rows, pivots)
+                continue
             for s in patterns:
                 image = [[s[p] * s[j] * x % q for j, x in enumerate(r)] for r, p in zip(rows, pivots)]
                 for i, p in enumerate(pivots):

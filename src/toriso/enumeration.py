@@ -254,8 +254,11 @@ def _walk(q: GramForm, bound: Fraction, emit: Callable[[int, list[int]], None] |
             t0 += u01
         coords[i] = coords[0] = 0
 
-    if cap >= 0:
-        rec(n - 1, total, True)
+    try:
+        if cap >= 0:
+            rec(n - 1, total, True)
+    finally:
+        rec = None  # rec holds itself through its closure; the walk's state must not wait for the cyclic GC
     return s
 
 

@@ -26,11 +26,12 @@ keys with neither; wider sigs are sorted as they are.  np.unique over
 the sorted rows read as void then gives the distinct keys in bytewise
 order.
 Buckets are then partitioned into monomial equivalence classes by orbit
-subtraction: the full signed permutation orbit of one member is packed,
-in canonical form, and intersected with the bucket, which removes that
-class exactly.  Buckets with at least min_tuple classes survive as
-collision tuples and are re-verified through the scalar code path and
-the lattice correspondence before being reported.
+subtraction: the sign-orbit representatives in one member's class, one
+per column permutation (below), are packed and intersected with the
+bucket, which removes that class exactly.  Buckets with at least
+min_tuple classes survive as collision tuples and are re-verified through
+the scalar code path and the lattice correspondence before being
+reported.
 
 Sign orbits.  Every pivot pattern is closed under row signs s_i (with the
 matching pivot column sign, which keeps the pivot 1) and non-pivot column
@@ -67,39 +68,43 @@ their number and P_p the pattern's partitions.  So a search has as many
 partitions and progress calls as over codes, and a partition may be
 empty.
 
-An orbit costs C(n, k) row reductions, not n! * 2**n.  Let R = RREF(G P)
-for a column permutation P, with pivot column p(i) in row i.  Its pivots
-pick the greedy basis S of G's columns in P's order, the basis whose
-sorted places under P are lexicographically least, and R = G[:, S]^-1 G P
-with the rows ordered by the places of their pivots.  So each of the
-C(n, k) column subsets S is reduced once, as [G[:, S] | G]: it is a basis
-exactly when its block reduces to I, and then the rest is G[:, S]^-1 G.
-The greedy basis of every P is then found column by column from the
-masks of the columns that lie inside some basis, and R is gathered from
-its reduced subset.  Let D be a diagonal matrix of signs s_j = +-1.  R D
-is still in echelon form with the same pivots; only the pivot entry
-s_p(i) of each row needs scaling back to 1, and s^-1 = s because
-(q - 1)**2 = 1 mod q.  So RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod
-q, and the orbit is exactly the one the 2**n-fold expansion gives.  No
-signed image is built: the packed id of a code is a sum over its rows,
-and row i of R packs under column signs t to the sum over j of
-R[i, j] * w or (q - R[i, j]) % q * w as t_j is +1 or -1, w being the
-base-q weight of entry (i, j).  Row i of the image under s takes the row
-signs t = s_p(i) * s, which is s itself or its complement -s, and because
-R[i, j] + (q - R[i, j]) % q is q on a nonzero entry and 0 on a zero one,
-the row packs under -s to q times the weights of its nonzero entries
-minus its value under s.  Every row is packed under the 2**(n-1) patterns
-with s_0 = +1 (s and -s give one image), each pattern from one with a
-single sign fewer, and a masked subtraction and a sum over the k rows
-give every packed id.  Over GF(2) the only sign is 1.
+An orbit costs C(n, k) row reductions and n! sign-least images, not
+n! * 2**n reductions.  Let R = RREF(G P) for a column permutation P, with
+pivot column p(i) in row i.  Its pivots pick the greedy basis S of G's
+columns in P's order, the basis whose sorted places under P are
+lexicographically least, and R = G[:, S]^-1 G P with the rows ordered by
+the places of their pivots.  So each of the C(n, k) column subsets S is
+reduced once, as [G[:, S] | G]: it is a basis exactly when its block
+reduces to I, and then the rest is G[:, S]^-1 G.  The greedy basis of
+every P is then found column by column from the masks of the columns that
+lie inside some basis, and R is gathered from its reduced subset.  Let D
+be a diagonal matrix of signs s_j = +-1.  R D is still in echelon form
+with the same pivots; only the pivot entry s_p(i) of each row needs
+scaling back to 1, and s^-1 = s because (q - 1)**2 = 1 mod q.  So
+RREF(G P D)[i, j] = s_p(i) * s_j * R[i, j] mod q: the images under P are
+R's sign orbit, and only its representative is built.  That
+representative is also the orbit's least packed id.  A packed id reads
+the entries in row-major order, the first the most significant; fixing
+each forest entry in turn to the smaller of x and q - x, by flipping the
+component on its column side, changes no entry before it, and every other
+entry is fixed by the entries before it.  So the canonical id of a class,
+the least id of its orbit, is the least of its n! representatives, and a
+bucket, which holds representatives only, meets the class in some of
+them.  _sign_least builds the representatives of a block of images at
+once, in k * n steps of one union-find over the k row and n column
+vertices of every image: a nonzero entry that joins two components (each
+row's pivot entry, 1, among them) flips the column side when its value
+under the signs so far exceeds (q - 1)/2, and each vertex's sign is
+applied to the entries at the end.  Over GF(2) the only sign is 1, and R
+is its own representative.
 
 Orbit subtraction runs in rounds across all buckets that hold at least
 min_tuple representatives: each round takes the least id left in every
-bucket not yet empty, and one numpy pass packs the orbits of
-a block of representatives, as many as fit a few MiB by the orbit
-estimate.  Membership is a binary search in each sorted orbit.  Each
-bucket's classes come out as its own loop would give them, so the
-rounds change no class.
+bucket not yet empty, and one numpy pass packs the orbits of a block of
+representatives, as many as fit a few MiB by the orbit estimate.
+Membership is a binary search in each sorted orbit.  Each bucket's
+classes come out as its own loop would give them, so the rounds change
+no class.
 
 Codes are tracked as packed base-q integers of their canonical generator
 rows; the orbit minimum of those ids is the canonical monomial form, so
@@ -227,7 +232,8 @@ def _free_positions(n: int, k: int, pivots) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
 
 
-@lru_cache(maxsize=8)
+# holds every pattern of a search: the orbit guard admits n <= 9, C(9, 4) = 126
+@lru_cache(maxsize=128)
 def _supports(q, n, k, pivots):
     """Support table of one pivot pattern, for odd q: per support mask
     (bit F - 1 - f set when free position f is nonzero, F free positions),
@@ -287,13 +293,9 @@ def _entries(q, n, k, pivots, start, stop):
 
 
 @lru_cache(maxsize=8)
-def _monomial_tables(q: int, n: int):
-    """Column permutations, and the n x 2**n boolean table of the -1
-    entries of the column sign patterns in product((1, -1)) order; over
-    GF(2) the only sign is 1, so there is one pattern and no -1."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    neg = np.array(list(itertools.product((False,) if q == 2 else (False, True), repeat=n))).T
-    return perms, neg
+def _permutations(n: int) -> np.ndarray:
+    """The n! column permutations in itertools.permutations order."""
+    return np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.intp, n * factorial(n)).reshape(-1, n)
 
 
 @lru_cache(maxsize=8)
@@ -348,8 +350,8 @@ def _pack_powers(q: int, k: int, n: int) -> np.ndarray:
 
 
 def _pack(mats: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    flat = mats.reshape(mats.shape[0], -1).astype(np.int64)
-    return flat @ powers
+    # einsum casts the entries to int64 in buffered chunks, not as one copy
+    return np.einsum("ij,j->i", mats.reshape(len(mats), -1), powers)
 
 
 def _unpack(ids: np.ndarray, q: int, n: int, powers: np.ndarray) -> np.ndarray:
@@ -357,16 +359,15 @@ def _unpack(ids: np.ndarray, q: int, n: int, powers: np.ndarray) -> np.ndarray:
     return (ids[:, None] // powers % q).reshape(len(ids), -1, n)
 
 
-def _permuted_rrefs(reps: np.ndarray, q: int):
+def _permuted_rrefs(reps: np.ndarray, q: int) -> np.ndarray:
     """RREF(G P) of each rank-k code G in reps (codes, k, n) under each
-    column permutation P of _monomial_tables, as (codes, n!, k, n), and
-    their pivot columns, (codes, n!, k).
+    column permutation P of _permutations, as int16 (codes, n!, k, n).
 
     Only the C(n, k) column subsets S of each code are row-reduced, each
     as [G[:, S] | G]: S is a basis exactly when its block reduces to I,
     and the rest is then R_S = G[:, S]^-1 G (module docstring)."""
     b, k, n = reps.shape
-    perms, _ = _monomial_tables(q, n)
+    perms = _permutations(n)
     subsets, number, contains, below = _subset_tables(n, k)
     work = np.concatenate([reps[:, :, subsets].transpose(0, 2, 1, 3), np.repeat(reps[:, None], len(subsets), axis=1)], axis=3)
     reduced = _batch_rref(work.reshape(-1, k, k + n), q).reshape(b, len(subsets), k, k + n)
@@ -387,52 +388,62 @@ def _permuted_rrefs(reps: np.ndarray, q: int):
     columns = perms[np.arange(len(perms))[:, None], pivots]
     first = (np.arange(b)[:, None] * len(subsets) + number[mask]) * k  # R_S's first row in the stack
     rows = first[:, :, None] + below[mask[:, :, None], columns]
-    images = reduced[:, :, :, k:].reshape(-1, n)[rows[:, :, :, None], perms[None, :, None, :]]
-    return images, pivots
+    return reduced[:, :, :, k:].reshape(-1, n)[rows[:, :, :, None], perms[None, :, None, :]]
+
+
+def _sign_least(images: np.ndarray, q: int) -> None:
+    """Each reduced image in images (m, k, n) over an odd prime q replaced
+    by its sign-orbit representative, in place.  The entries are taken in
+    row-major order as the steps of one union-find over the k row and n
+    column vertices of every image; a nonzero entry joining two components
+    flips the column side when its value under the signs so far exceeds
+    (q - 1)/2 (module docstring)."""
+    m, k, n = images.shape
+    comp = np.tile(np.arange(k + n, dtype=np.int8), (m, 1))  # each vertex's component
+    flip = np.zeros((m, k + n), bool)  # each vertex's sign, True for -1
+    for i in range(k):
+        for j in range(i, n):  # row i's entries left of column i are 0
+            x = images[:, i, j]
+            row, col = comp[:, i].copy(), comp[:, k + j].copy()
+            join = (x != 0) & (row != col)
+            # the entry is x or q - x as the signs of its row and column agree
+            turn = join & ((x > q // 2) != (flip[:, i] != flip[:, k + j]))
+            side = comp == col[:, None]
+            flip ^= side & turn[:, None]
+            np.copyto(comp, row[:, None], where=side & join[:, None])
+    negated = flip[:, :k, None] != flip[:, None, k:]
+    np.subtract(q, images, out=images, where=negated & (images != 0))
 
 
 def _orbit_rows(reps: np.ndarray, q: int, powers: np.ndarray) -> np.ndarray:
-    """Packed canonical ids of all monomial images of each code in reps
-    (codes, k, n), as one sorted row per code; a row may repeat an id.
-
-    Each reduced permutation is packed in closed form under every sign
-    pattern (module docstring), so no signed image is ever built."""
+    """Packed ids of the sign-orbit representatives of RREF(G P), one per
+    column permutation P, of each code G in reps (codes, k, n), as one
+    sorted row of n! ids per code; a row may repeat an id.  Its first id
+    is the code's canonical id, and it holds every representative of the
+    code's class (module docstring)."""
     b, k, n = reps.shape
-    _, neg = _monomial_tables(q, n)
-    images, pivots = _permuted_rrefs(reps, q)
-    reduced, pivots = images.reshape(-1, k, n), pivots.reshape(-1, k)
-    weights = powers.reshape(k, n)
-    # row i under the column signs t with t_0 = +1 (s and -s give one
-    # image), in product((1, -1)) order: pattern 2**m + x adds to pattern x
-    # the flip of column j = n - 1 - m, from R[i, j] * w to (q - R[i, j]) % q * w
-    packed = np.empty((len(reduced), k, (neg.shape[1] + 1) // 2), np.int64)
-    packed[:, :, 0] = np.einsum("rij,ij->ri", reduced, weights)
-    if q > 2:  # GF(2) has no -1
-        flips = np.where(reduced, q - 2 * reduced, 0) * weights
-        for m, j in enumerate(range(n - 1, 0, -1)):
-            np.add(packed[:, :, : 1 << m], flips[:, :, j, None], out=packed[:, :, 1 << m : 2 << m])
-        # rows under -s: twice the row under +1 plus every flip is q times
-        # the weights of its nonzero entries, below 2**63
-        np.subtract(2 * packed[:, :, :1] + flips.sum(axis=2, keepdims=True), packed, out=packed, where=neg[:, : packed.shape[2]][pivots])
-    ids = packed.sum(axis=1).reshape(b, -1)
+    images = _permuted_rrefs(reps, q).reshape(-1, k, n)
+    if q > 2:  # over GF(2) every code is its own representative
+        _sign_least(images, q)
+    ids = _pack(images, powers).reshape(b, -1)
     ids.sort(axis=1)
     return ids
 
 
 def _orbit_bytes(q, n, k, reps):
     """Bytes _orbit_rows allocates at most for reps representatives and
-    its cached tables: per column permutation of each representative, its
-    int16 image, the int64 pivots, rows and columns of its basis and, for
-    odd q, the int64 flips of its entries and their temporaries; per image
-    with s_0 = +1, its k packed int64 rows and the k bools of their
-    complements, its id and its sorted copy; per column subset, [G[:, S] |
-    G] as int64 and int16 and the masks inside S; once, the n!
-    permutations, the subset tables and 256 KiB of numpy buffers and small
-    arrays."""
+    its cached tables: per column permutation of each representative, the
+    int64 mask of its greedy basis and the temporaries that grow it, the n
+    places it takes, the int64 pivots, columns and rows of the basis, k
+    each, with their temporaries, its int16 image and its id; per column
+    subset, [G[:, S] | G] as int64 and int16 and the masks inside S; once,
+    the n! permutations, the subset tables and 256 KiB of numpy buffers
+    and small arrays.  The sign step's int8 components and bool signs and
+    temporaries, 4 * (k + n) bytes an image, and the 3 * k * n bools of
+    its negated entries come after the basis data is freed, and take less
+    than it for every n <= 9, all the guard admits."""
     perms, subsets = factorial(n), comb(n, k)
-    images = perms * (1 if q == 2 else 2 ** (n - 1))
-    entry = 2 if q == 2 else 26
-    orbit = perms * (entry * k * n + 32 * k + 48) + images * (9 * k + 16) + subsets * (48 * k * (k + n) + (1 << n))
+    orbit = perms * (2 * k * n + 40 * k + n + 48) + subsets * (48 * k * (k + n) + (1 << n))
     return reps * orbit + 8 * n * perms + (subsets + 10 * n) * (1 << n) + (1 << 18)
 
 

@@ -147,7 +147,13 @@ def _spectra_differ(pair, cap: int, squared=False):
     values are left out.  Both count the zero vector once, so squares
     must first differ where the raw counts do, by twice as much."""
     raw = [(g, r[: cap // g + 1]) for g, r in pair]
-    table = tuple(_rows(cap, [(g, _squared_counts(r)) for g, r in raw] if squared else raw))
+    compared = raw
+    if squared:
+        (ga, ra), (gb, rb) = raw
+        square = _squared_counts(ra)
+        # equal raw spectra, as of a form against itself, are squared once
+        compared = [(ga, square), (gb, square if (ga, ra) == (gb, rb) else _squared_counts(rb))]
+    table = tuple(_rows(cap, compared))
     first, diff = next(((t, x - y) for t, x, y in table if x != y), (None, 0))
     if squared and (first, diff) != next(((t, 2 * (x - y)) for t, x, y in _rows(cap, raw) if x != y), (None, 0)):
         raise ArithmeticError("squared counts disagree with the raw counts at their first difference")

@@ -8,6 +8,7 @@ agreement with toriso.search is evidence rather than circularity.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -65,6 +66,20 @@ def sign_canonical(code):
     reps = [rows for rows in images if all(rows[i][j] <= (q - 1) // 2 for i, j in kruskal_forest(rows))]
     assert len(reps) == 1, reps
     return reps[0], len(images)
+
+
+def sign_least_orbit(code):
+    """One sign-orbit representative per column permutation, sorted: the
+    images of monomial_images under each permutation share one, so every
+    len / n!-th of their sorted representatives, each sign orbit
+    brute-forced once."""
+    reps, out = {}, []
+    for img in monomial_images(code):
+        if img.rows not in reps:
+            rep, _ = sign_canonical(img)
+            reps.update(dict.fromkeys(sign_images(img), rep))
+        out.append(reps[img.rows])
+    return sorted(out)[:: len(out) // math.factorial(code.length)]
 
 
 def permuted_reductions(rows, q):

@@ -217,8 +217,8 @@ def test_codesearch_cap_exceeded(tmp_path, capsys):
         ("191", "2", "1", "16-bit words"),
         # one code, but its 14,641 words make a 14,641 x 14,641 term table
         ("11", "4", "4", "-byte table, above the"),
-        # 9! * 2**9 monomial images of one code, about 26 GB by the orbit estimate
-        ("3", "9", "1", "one monomial orbit needs about"),
+        # 10! monomial images of one code, about 719 MB by the orbit estimate
+        ("3", "10", "1", "one monomial orbit needs about"),
     ],
 )
 def test_codesearch_rejects_oversized_tables(tmp_path, capsys, q, n, k, problem):

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import tracemalloc
@@ -234,6 +235,25 @@ def test_a_spectrum_holds_only_its_counts():
         tracemalloc.stop()
     assert len(spec.entries) == 10_001
     assert kept < 300_000
+
+
+def test_a_walk_leaves_only_its_spectrum():
+    # with the cyclic GC off, nothing of the walk outlives rep_spectrum:
+    # its count list of 10,001 slots stayed alive, 81 KB, until a collection
+    q = GramForm(Mat.identity(2).scaled(10**6))
+    rep_spectrum(q, 10**10)  # the form's reduction, cached on it
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        spec = rep_spectrum(q, 10**10)
+        assert len(spec.counts) == 10_001
+        del spec
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 4096
 
 
 def test_shortest_vectors_square_lattice():

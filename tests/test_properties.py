@@ -13,7 +13,8 @@ the scan's sign-orbit representatives against a brute-force oracle.
 Forms are L L^T for random lower-triangular integer L with nonzero
 diagonal, so they are integral and positive definite; entries stay small
 to keep each enumeration to milliseconds.  Codes have length at most 4,
-so a scalar orbit holds at most 4! * 2**4 images, and generator matrices
+so a scalar orbit holds at most 4! * 2**4 images (5 against the full
+expansion, with one example of length 6), and generator matrices
 checked against the n! permuted reductions length at most 5; codes
 brought to their sign-orbit representatives have length at most 6.
 """
@@ -29,7 +30,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from code_oracles import expanded_canonical_form, kruskal_forest, monomial_images, permuted_reductions, sign_canonical, void_row_keys
+from code_oracles import expanded_canonical_form, kruskal_forest, permuted_reductions, sign_canonical, sign_least_orbit, void_row_keys
 from isometry_oracles import ball_shells
 from linalg_oracles import (
     box_oracle,
@@ -170,18 +171,18 @@ def echelon_rows(draw, q, n, k):
 @SETTINGS
 @given(st.data())
 def test_stacked_orbit_rows_are_the_scalar_orbits(data):
-    # q = 2 has one sign pattern and no complement
+    # q = 2 has no signs: each image is its own representative
     q = data.draw(st.sampled_from((2, 3, 5, 7)))
     n = data.draw(st.integers(1, 4))
     k = data.draw(st.integers(1, n))
     reps = data.draw(st.lists(echelon_rows(q, n, k), min_size=1, max_size=4))
     powers = _pack_powers(q, k, n)
     rows = _orbit_rows(np.array(reps), q, powers)
-    assert rows.shape == (len(reps), factorial(n) * (1 if q == 2 else 2 ** (n - 1)))  # one id per (P, s = -s)
+    assert rows.shape == (len(reps), factorial(n))  # one id per column permutation
     for rep, row in zip(reps, rows):
-        want = {int(_pack(np.array([img.rows]), powers)[0]) for img in monomial_images(LinearCode(q, n, rep))}
-        assert np.unique(row).tolist() == sorted(want)
-        assert np.all(row[:-1] <= row[1:])
+        code = LinearCode(q, n, rep)
+        assert row.tolist() == _pack(np.array(sign_least_orbit(code)), powers).tolist()
+        assert row[0] == _pack(np.array([expanded_canonical_form(code)]), powers)[0]
 
 
 @st.composite
@@ -225,8 +226,7 @@ def test_sign_orbit_representative_is_enumerated(drawn):
     assert (ids.tolist(), weights.tolist()) == (_pack(np.array([rows]), powers).tolist(), [size])
     rep = LinearCode(q, n, rows)
     assert weight_distribution(rep) == weight_distribution(code)
-    if n <= 5:  # the scalar form takes about 0.2 s a code of length 6
-        assert canonical_monomial_form(rep) == canonical_monomial_form(code)
+    assert canonical_monomial_form(rep) == canonical_monomial_form(code)
 
 
 @st.composite
@@ -259,12 +259,10 @@ def test_per_basis_reductions_are_the_permuted_reductions(data):
     n = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, n))
     gens = data.draw(st.lists(rank_k_generators(q, n, k), min_size=1, max_size=3))
-    images, pivots = _permuted_rrefs(np.array(gens), q)
-    assert images.shape == (len(gens), factorial(n), k, n) and pivots.shape == (len(gens), factorial(n), k)
-    for g, got, places in zip(gens, images.tolist(), pivots.tolist()):
-        want = permuted_reductions(g.tolist(), q)
-        assert [tuple(map(tuple, image)) for image in got] == want
-        assert places == [[row.index(next(x for x in row if x)) for row in rows] for rows in want]
+    images = _permuted_rrefs(np.array(gens), q)
+    assert images.shape == (len(gens), factorial(n), k, n)
+    for g, got in zip(gens, images.tolist()):
+        assert [tuple(map(tuple, image)) for image in got] == permuted_reductions(g.tolist(), q)
 
 
 @st.composite
@@ -315,6 +313,11 @@ def test_key_rows_are_the_void_row_oracle(sig):
 # that pivot reduced again once the signs are applied
 @example(LinearCode(8, 4, ((1, 0, 0, 0), (0, 1, 0, 3), (0, 0, 1, 2), (0, 0, 0, 4))))
 @example(LinearCode(10, 4, ((1, 0, 0, 2), (0, 1, 0, 0), (0, 0, 1, 4), (0, 0, 0, 5))))
+# unit pivots and entries 3 = -3, which join no sign components: were they
+# to join them, the least row found would be (0, 1, 3, 2), not (0, 1, 3, 1)
+@example(LinearCode(6, 4, ((1, 0, 3, 5), (0, 1, 5, 3))))
+# 46,080 images in the expansion, about 1.4 s
+@example(LinearCode(5, 6, ((1, 0, 0, 2, 3, 4), (0, 1, 0, 4, 0, 1), (0, 0, 1, 1, 2, 0))))
 def test_canonical_monomial_form_matches_the_full_expansion(code):
     assert canonical_monomial_form(code).rows == expanded_canonical_form(code)
 

@@ -3,7 +3,7 @@ import hashlib
 import json
 import tracemalloc
 from concurrent.futures import Future
-from math import log2
+from math import comb, factorial, log2
 
 import numpy as np
 import pytest
@@ -13,10 +13,12 @@ from code_oracles import (
     collide_codes,
     count_row,
     dual_code,
+    expanded_canonical_form,
     group_rows,
     monomial_images,
     sign_canonical,
     sign_images,
+    sign_least_orbit,
     subtract_orbits,
 )
 from toriso import search, triplet
@@ -100,10 +102,10 @@ def test_orbit_ids_match_scalar_orbit():
             assert k == n or reps["zero-column"].rows[0][0] == 0  # a non-systematic pivot pattern
             codes = list(reps.values())
             rows = _orbit_rows(np.array([code.rows for code in codes]), q, powers)  # all in one call
+            assert rows.shape == (len(codes), factorial(n))
             for code, row in zip(codes, rows):
-                want = sorted({int(_pack(np.array([img.rows]), powers)[0]) for img in monomial_images(code)})
-                assert np.all(row[:-1] <= row[1:])  # sorted, minimum first
-                assert np.unique(row).tolist() == want, (q, k, code.rows)
+                assert row.tolist() == _pack(np.array(sign_least_orbit(code)), powers).tolist(), (q, k, code.rows)
+                assert row[0] == _pack(np.array([expanded_canonical_form(code)]), powers)[0]
 
 
 def representatives(q, n, k, family="all"):
@@ -296,6 +298,16 @@ def test_scan_partition_groups_like_row_oracle(q, n, k, family, chunk, dtype, li
     assert scanned == family_size == (len(all_codes(q, n, k)) if family == "all" else q ** (k * (n - k)))
 
 
+def test_support_tables_are_built_once_a_pattern():
+    # the cache holds every pivot pattern of any search the guards admit,
+    # n <= 9 (the orbit guard refuses 10! images), so the 21 tables of an
+    # "all" search are built once each, not when planned, scanned and merged
+    search._supports.cache_clear()
+    run_search(3, 7, 2, family="all", verify=False)
+    assert search._supports.cache_info().misses == comb(7, 2)
+    assert search._supports.cache_info().maxsize >= max(comb(9, k) for k in range(10))
+
+
 def test_support_tables_weigh_every_code_once():
     # from the support tables alone, no code enumerated: over the support
     # masks of every pivot pattern (the systematic one among them) the
@@ -356,14 +368,14 @@ def test_scan_partition_peaks_within_the_guard_estimate(q, n, k, family):
 @pytest.mark.parametrize("q, n, k", [(7, 5, 2), (5, 6, 3), (2, 8, 4)])
 def test_orbit_block_peaks_within_the_guard_estimate(q, n, k):
     # one block of systematic representatives, as many as run_search stacks
-    # in one _orbit_rows call (33, 2 and 1), with the cached tables rebuilt
+    # in one _orbit_rows call (154, 21 and 1), with the cached tables rebuilt
     fixed, orbit = search._orbit_bytes(q, n, k, 0), search._orbit_bytes(q, n, k, 1)
     block = max(1, (search._ORBIT_BLOCK_BYTES - fixed) // (orbit - fixed))
     free = np.random.default_rng(q).integers(0, q, size=(block, k, n - k))
     reps = np.concatenate([np.broadcast_to(np.eye(k, dtype=np.int64), (block, k, k)), free], axis=2)
     powers = _pack_powers(q, k, n)
     _orbit_rows(reps, q, powers)  # numpy's first-call caches
-    search._monomial_tables.cache_clear()
+    search._permutations.cache_clear()
     search._subset_tables.cache_clear()
     tracemalloc.start()
     try:
@@ -797,9 +809,9 @@ def test_orbit_guard_refuses_before_any_scan(monkeypatch):
 
     monkeypatch.setattr(search, "_scan_partition", expand)
     monkeypatch.setattr(search, "_orbit_rows", expand)
-    # (3, 9, 1) has 9,841 codes, and one orbit holds 9! * 2**9 images
+    # (3, 10, 1) has 29,524 codes, and one orbit holds 10! images
     with pytest.raises(CodeError, match="one monomial orbit needs about"):
-        run_search(3, 9, 1, verify=False)
+        run_search(3, 10, 1, verify=False)
 
 
 def test_systematic_family_on_small_space():

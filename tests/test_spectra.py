@@ -266,13 +266,12 @@ def test_odd_certify_stays_in_the_input_dimension(monkeypatch):
     assert cert.threshold == triplet.DOUBLED_THRESHOLD and not cert.summed
 
 
-@pytest.mark.parametrize("case", [4, 6], ids=["3-isospectral", "3-squared-spectra-differ"])
+@pytest.mark.parametrize("case", [6], ids=["3-squared-spectra-differ"])
 def test_squares_that_miss_the_raw_difference_raise(monkeypatch, case):
-    # the first square gains 2 at value 4: for the isospectral pair the
-    # squares then differ where the raw counts agree, and for the other
-    # they differ at the raw difference (4 against 6) by 2, not by twice
-    # it; either way certify raises instead of giving a verdict.  Value 4
-    # is index 4 // step on the first form's grid, in the doubled units
+    # the first square gains 2 at value 4, so the squares differ at the raw
+    # difference (4 against 6) by 2, not by twice it, and certify raises
+    # instead of giving a verdict.  Value 4 is index 4 // step on the first
+    # form's grid, in the doubled units
     a, b, kwargs = ODD_PAIRS[case].values[:3]
     step = rep_spectrum(GramForm(a.matrix.scaled(2)), 0).step
     real, calls = spectra._squared_counts, []
@@ -288,6 +287,20 @@ def test_squares_that_miss_the_raw_difference_raise(monkeypatch, case):
     with pytest.raises(ArithmeticError, match="first difference"):
         certify(a, b, **kwargs)
     assert len(calls) == 2
+
+
+def test_equal_raw_spectra_are_squared_once(monkeypatch):
+    # a form against a unimodular conjugate has equal raw counts, which one
+    # square serves, with the direct-sum oracle's certificate; raw counts
+    # that differ past the pre-scan are squared each
+    real, calls = spectra._squared_counts, []
+    monkeypatch.setattr(spectra, "_squared_counts", lambda counts: calls.append(len(counts)) or real(counts))
+    for case, squares in ((4, 1), (6, 2)):
+        a, b, kwargs, verdict, _ = ODD_PAIRS[case].values
+        calls.clear()
+        cert = certify(a, b, **kwargs)
+        assert len(calls) == squares and cert.verdict is verdict
+        assert certificate_text(cert) == certificate_text(direct_sum_certify(a, b, **kwargs))
 
 
 def test_squaring_past_its_budget_raises(monkeypatch):
